@@ -5,7 +5,8 @@ families, compute its first homology, enumerate the epimorphisms onto Z2 and
 their equivalence classes, identify the double cover each one cuts out
 (verified by an independent Reidemeister-Schreier/Smith-form oracle), and
 attach the Borsuk-Ulam Z2-index (1, 2 or 3) to every pair.  quotients_of
-inverts the covering map and reproduces the free-involution diagrams.
+inverts the covering map and reproduces the free-involution diagrams, and
+verify_sweep cross-checks all of it against the independent routes.
 """
 
 from .seifert import (FAMILIES, InvariantError, NilError, NilManifold, NotNil,
@@ -31,6 +32,7 @@ from .coverings import (CoveringDescriptor, double_cover,
                         expected_quotient_diagram, quotients_of, verify_cover)
 from .bu_index import (cup_cube_nonzero, index_is_one, index_one_case,
                        index_report, index_three_case, z2_index)
+from .verify import verify_manifold, verify_sweep
 
 __version__ = "0.1.0"
 
@@ -52,5 +54,6 @@ __all__ = [
     "orbifold_euler_char", "parse_family", "parse_manifold", "parse_seifert",
     "quotients_of", "reidemeister_schreier", "reverse_orientation",
     "smith_normal_form", "sweep", "torsion_subgroup_killed_by",
-    "validate_char", "verify_cover", "word_parity", "z2_index",
+    "validate_char", "verify_cover", "verify_manifold", "verify_sweep",
+    "word_parity", "z2_index",
 ]

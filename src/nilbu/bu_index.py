@@ -92,17 +92,14 @@ def index_three_case(m: NilManifold, phi: Z2Char) -> str | None:
 
 def index_report(m: NilManifold, phi: Z2Char) -> dict:
     """Index with its criterion trace, for the command line."""
-    one = index_is_one(m, phi)
-    three = cup_cube_nonzero(m, phi)
-    assert not (one and three)
-    index = 1 if one else 3 if three else 2
-    catalog = index_one_case(m, phi) if one else \
-        index_three_case(m, phi) if three else None
+    index = z2_index(m, phi)
+    catalog = index_one_case(m, phi) if index == 1 else \
+        index_three_case(m, phi) if index == 3 else None
     return {
         "manifold": m.encode(),
         "phi": phi.to_json_dict(),
         "index": index,
-        "kills_torsion": one,
-        "cup_cube_nonzero": three,
+        "kills_torsion": index == 1,
+        "cup_cube_nonzero": index == 3,
         "catalog": catalog,
     }

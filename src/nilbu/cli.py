@@ -3,29 +3,24 @@
 Subcommands: classify, h1, epis, cover, index, involutions, table, verify.
 Output is text by default, JSON with --format json; both are stable across
 runs.  Exit codes: 0 success, 1 invalid input, 2 verification mismatch.
-verify honors NILBU_THREADS (0 = auto, default sequential).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
-from .bu_index import (cup_cube_nonzero, index_is_one, index_one_case,
-                       index_report, index_three_case, z2_index)
-from .coverings import (CoveringDescriptor, double_cover,
-                        expected_quotient_diagram, quotients_of, verify_cover)
+from .bu_index import index_report, z2_index
+from .coverings import (CoveringDescriptor, double_cover, quotients_of,
+                        verify_cover)
 from .epimorphisms import (char_for, enumerate_epis, equivalence_classes,
-                           expected_epi_count, expected_partition_shape,
                            validate_char)
-from .homology import (AbelianGroup, h1, h1_closed_form, h1_stated_relations,
-                       mod2_rank)
+from .homology import AbelianGroup, h1
 from .seifert import (NilError, NilManifold, ParseError, b_min, cd_invariants,
-                      euler_number, family_rows, parse_manifold, sweep,
+                      euler_number, family_rows, parse_manifold,
                       _expand_pairs)
+from .verify import verify_sweep
 
 
 class _Parser(argparse.ArgumentParser):
@@ -62,10 +57,12 @@ def _parse_phi(m: NilManifold, text: str):
             obj = json.loads(text)
         except json.JSONDecodeError as err:
             raise ParseError("--phi must be an index or a JSON object: %s" % err) from err
-        if not isinstance(obj, dict):
-            raise ParseError("--phi JSON must be an object with keys s, v, h")
-        phi = char_for(m, tuple(obj.get("s", ())), tuple(obj.get("v", ())),
-                       int(obj.get("h", 0)))
+        if not (isinstance(obj, dict) and set(obj) <= {"s", "v", "h"} and
+                all(isinstance(obj.get(k, []), list) for k in "sv")):
+            raise ParseError("--phi JSON must be an object with lists s, v "
+                             "and a bit h")
+        phi = char_for(m, tuple(obj.get("s", [])), tuple(obj.get("v", [])),
+                       obj.get("h", 0))
         return validate_char(m, phi)
     epis = enumerate_epis(m)
     if not 0 <= idx < len(epis):
@@ -216,87 +213,15 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _verify_manifold(m: NilManifold) -> dict:
-    failures = []
-    tag = m.encode()
-    group = h1(m)
-    if group.decomposition != h1_closed_form(m):
-        failures.append("%s: h1 %r does not match closed form %r"
-                        % (tag, group.decomposition, h1_closed_form(m)))
-    for rel in h1_stated_relations(m):
-        if not group.is_zero_combination(rel):
-            failures.append("%s: stated relation %r fails in H1" % (tag, rel))
-    epis = enumerate_epis(m)
-    if len(epis) != expected_epi_count(m):
-        failures.append("%s: %d epimorphisms, expected %d"
-                        % (tag, len(epis), expected_epi_count(m)))
-    if len(epis) != 2 ** mod2_rank(group) - 1:
-        failures.append("%s: epi count disagrees with mod-2 rank" % tag)
-    part = equivalence_classes(m)
-    if part.shape != expected_partition_shape(m):
-        failures.append("%s: partition shape %r, expected %r"
-                        % (tag, part.shape, expected_partition_shape(m)))
-    for cls in part.classes:
-        covers = {double_cover(m, phi) for phi in cls.members}
-        if len(covers) != 1:
-            failures.append("%s: class %s has several covers %r"
-                            % (tag, cls.representative.describe(), covers))
-        indices = {z2_index(m, phi) for phi in cls.members}
-        if len(indices) != 1:
-            failures.append("%s: class %s has several indices %r"
-                            % (tag, cls.representative.describe(), indices))
-    pairs = 0
-    for phi in epis:
-        pairs += 1
-        cover = double_cover(m, phi)
-        if not verify_cover(m, phi, cover):
-            failures.append("%s: oracle rejects cover %s for %s"
-                            % (tag, cover.encode(), phi.describe()))
-        if index_is_one(m, phi) != (index_one_case(m, phi) is not None):
-            failures.append("%s: index-1 criterion vs catalog mismatch for %s"
-                            % (tag, phi.describe()))
-        if cup_cube_nonzero(m, phi) != (index_three_case(m, phi) is not None):
-            failures.append("%s: index-3 criterion vs catalog mismatch for %s"
-                            % (tag, phi.describe()))
-    got = [(d.base, d.index) for d in quotients_of(m)]
-    expected = list(expected_quotient_diagram(m))
-    if got != expected:
-        failures.append("%s: involution diagram %r, expected %r"
-                        % (tag, [(b.encode(), i) for b, i in got],
-                           [(b.encode(), i) for b, i in expected]))
-    return {"manifold": tag, "pairs": pairs, "failures": failures}
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("NILBU_THREADS", "")
-    if raw.strip() == "":
-        return 1
-    n = int(raw)
-    if n == 0:
-        return os.cpu_count() or 1
-    if n < 1:
-        raise ParseError("NILBU_THREADS must be >= 0")
-    return n
-
-
 def cmd_verify(args) -> int:
-    manifolds = list(sweep(args.b_max))
-    threads = _thread_count()
-    if threads == 1:
-        results = [_verify_manifold(m) for m in manifolds]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_verify_manifold, manifolds))
-    failures = [line for r in results for line in r["failures"]]
-    pairs = sum(r["pairs"] for r in results)
-    lines = list(failures)
-    lines.append("verified %d manifolds, %d (manifold, phi) pairs, depth %d"
-                 % (len(manifolds), pairs, args.b_max))
-    lines.append("FAILURES: %d" % len(failures) if failures else "OK")
-    obj = {"manifolds": len(manifolds), "pairs": pairs,
-           "failures": failures, "ok": not failures}
-    _emit(args, lines, obj)
-    return 2 if failures else 0
+    report = verify_sweep(args.b_max)
+    failures = report["failures"]
+    lines = failures + [
+        "verified %d manifolds, %d (manifold, phi) pairs, depth %d"
+        % (report["manifolds"], report["pairs"], args.b_max),
+        "FAILURES: %d" % len(failures) if failures else "OK"]
+    _emit(args, lines, report)
+    return 0 if report["ok"] else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="full cross-check sweep (oracle, partitions, "
                             "indices, involution diagrams)")
-    p.add_argument("--b-max", type=int, default=16)
+    p.add_argument("--b-max", type=int, default=16,
+                   help="sweep b_min..b_min+k per family (default 16)")
     p.set_defaults(func=cmd_verify)
     return parser
 
@@ -358,6 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "b_max", 0) < 0:
+        parser.error("argument --b-max: must be >= 0, got %d" % args.b_max)
     try:
         return args.func(args)
     except NilError as err:

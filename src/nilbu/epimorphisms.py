@@ -36,7 +36,10 @@ class Z2Char:
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "bits", tuple(int(b) & 1 for b in self.bits))
+        object.__setattr__(self, "bits", tuple(self.bits))
+        for b in self.bits:
+            if type(b) is not int or b not in (0, 1):  # bool is not a bit
+                raise InvalidCharacter("a bit must be 0 or 1, got %r" % (b,))
         if len(self.generators) != len(self.bits):
             raise InvalidCharacter("one bit per generator required")
 
@@ -77,7 +80,7 @@ def char_for(m: NilManifold, s=(), v=(), h=0) -> Z2Char:
         raise InvalidCharacter(
             "%s takes %d s-bits and %d v-bits, got %d and %d"
             % (m.encode(), n_s, n_v, len(s), len(v)))
-    return Z2Char(pres.generators, s + v + (int(h),))
+    return Z2Char(pres.generators, s + v + (h,))
 
 
 def validate_char(m: NilManifold, phi: Z2Char) -> Z2Char:

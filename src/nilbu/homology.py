@@ -29,12 +29,6 @@ def matmul(a, b) -> list[list[int]]:
             for row in a]
 
 
-def transpose(a) -> list[list[int]]:
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    return [[a[i][j] for i in range(nr)] for j in range(nc)]
-
-
 def determinant(m) -> int:
     """Exact determinant by Bareiss fraction-free elimination."""
     n = len(m)

@@ -1,0 +1,71 @@
+"""The cross-check sweep: every closed form against its independent route.
+
+Layers are called through their modules (coverings.double_cover, not a bound
+double_cover), so a wrapper patched onto a module's function sees this path.
+"""
+
+from __future__ import annotations
+
+from . import bu_index, coverings, epimorphisms, homology, seifert
+
+
+def verify_manifold(m: seifert.NilManifold) -> dict:
+    """Cross-check one manifold: {"manifold", "pairs", "failures"}."""
+    failures = []
+    tag = m.encode()
+    group = homology.h1(m)
+    if group.decomposition != homology.h1_closed_form(m):
+        failures.append("%s: h1 %r does not match closed form %r"
+                        % (tag, group.decomposition, homology.h1_closed_form(m)))
+    for rel in homology.h1_stated_relations(m):
+        if not group.is_zero_combination(rel):
+            failures.append("%s: stated relation %r fails in H1" % (tag, rel))
+    epis = epimorphisms.enumerate_epis(m)
+    if len(epis) != epimorphisms.expected_epi_count(m):
+        failures.append("%s: %d epimorphisms, expected %d"
+                        % (tag, len(epis), epimorphisms.expected_epi_count(m)))
+    if len(epis) != 2 ** homology.mod2_rank(group) - 1:
+        failures.append("%s: epi count disagrees with mod-2 rank" % tag)
+    part = epimorphisms.equivalence_classes(m)
+    if part.shape != epimorphisms.expected_partition_shape(m):
+        failures.append("%s: partition shape %r, expected %r"
+                        % (tag, part.shape,
+                           epimorphisms.expected_partition_shape(m)))
+    for cls in part.classes:
+        covers = {coverings.double_cover(m, phi) for phi in cls.members}
+        if len(covers) != 1:
+            failures.append("%s: class %s has several covers %r"
+                            % (tag, cls.representative.describe(), covers))
+        indices = {bu_index.z2_index(m, phi) for phi in cls.members}
+        if len(indices) != 1:
+            failures.append("%s: class %s has several indices %r"
+                            % (tag, cls.representative.describe(), indices))
+    for phi in epis:
+        cover = coverings.double_cover(m, phi)
+        if not coverings.verify_cover(m, phi, cover):
+            failures.append("%s: oracle rejects cover %s for %s"
+                            % (tag, cover.encode(), phi.describe()))
+        if bu_index.index_is_one(m, phi) != \
+                (bu_index.index_one_case(m, phi) is not None):
+            failures.append("%s: index-1 criterion vs catalog mismatch for %s"
+                            % (tag, phi.describe()))
+        if bu_index.cup_cube_nonzero(m, phi) != \
+                (bu_index.index_three_case(m, phi) is not None):
+            failures.append("%s: index-3 criterion vs catalog mismatch for %s"
+                            % (tag, phi.describe()))
+    got = [(d.base, d.index) for d in coverings.quotients_of(m)]
+    expected = list(coverings.expected_quotient_diagram(m))
+    if got != expected:
+        failures.append("%s: involution diagram %r, expected %r"
+                        % (tag, [(b.encode(), i) for b, i in got],
+                           [(b.encode(), i) for b, i in expected]))
+    return {"manifold": tag, "pairs": len(epis), "failures": failures}
+
+
+def verify_sweep(depth: int = 16) -> dict:
+    """Cross-check sweep(depth): {"manifolds", "pairs", "failures", "ok"}."""
+    results = [verify_manifold(m) for m in seifert.sweep(depth)]
+    failures = [line for r in results for line in r["failures"]]
+    return {"manifolds": len(results),
+            "pairs": sum(r["pairs"] for r in results),
+            "failures": failures, "ok": not failures}

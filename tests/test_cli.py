@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import nilbu.coverings
 from nilbu.cli import main
 
 
@@ -146,17 +147,31 @@ def test_verify_small(capsys):
     assert lines[-2].endswith("depth 2")
 
 
-def test_verify_json_and_threads(capsys, monkeypatch):
+def test_verify_json(capsys):
     code, obj = run_json(capsys, "verify", "--b-max", "1")
     assert code == 0
     assert obj["ok"] is True
     assert obj["manifolds"] == 30
     assert obj["failures"] == []
 
-    monkeypatch.setenv("NILBU_THREADS", "2")
-    code2, obj2 = run_json(capsys, "verify", "--b-max", "1")
-    assert code2 == 0
-    assert obj2 == obj
+
+def test_verify_reports_mismatch(capsys, monkeypatch):
+    real = nilbu.coverings.expected_quotient_diagram
+
+    def wrong(m):
+        diagram = real(m)
+        return diagram[:-1] if m.encode() == "T(1)" else diagram
+
+    monkeypatch.setattr(nilbu.coverings, "expected_quotient_diagram", wrong)
+    line = "T(1): involution diagram [('T(2)', 3)], expected []"
+    code, obj = run_json(capsys, "verify", "--b-max", "0")
+    assert code == 2
+    assert obj["ok"] is False
+    assert obj["failures"] == [line]
+    code, out, _ = run(capsys, "verify", "--b-max", "0")
+    assert code == 2
+    assert out.splitlines()[0] == line
+    assert out.splitlines()[-1] == "FAILURES: 1"
 
 
 def test_output_is_deterministic(capsys):
@@ -177,6 +192,20 @@ def test_invalid_inputs_exit_one(capsys):
     assert code == 1
     code, _, err = run(capsys, "cover", "22(0)", "--phi", "[1,2]")
     assert code == 1
+    bad_phis = [("T(2)", '{"h": "x", "v": [0, 0]}'),
+                ("T(2)", '{"s": 5}'),
+                ("T(2)", '{"v": [1, 0], "h": 3}'),
+                ("T(2)", '{"v": [1, 0], "h": 1.7}'),
+                ("T(2)", '{"v": [true, false], "h": 0}'),
+                ("T(2)", '{"v": [3, 0], "h": 0}'),
+                ("T(2)", '{"v": [1, 0], "h": 1, "x": 9}'),
+                ("22(0)", '{"s": "11", "v": [0], "h": 0}')]
+    for manifold, phi in bad_phis:
+        for command in ("cover", "index"):
+            code, out, err = run(capsys, command, manifold, "--phi", phi)
+            assert code == 1 and out == "", (command, phi)
+            assert len(err.splitlines()) == 1, (command, phi)
+            assert err.startswith("error: "), (command, phi)
 
 
 def test_usage_errors_exit_one(capsys):
@@ -186,3 +215,11 @@ def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["cover", "22(0)"])  # --phi is required
     assert exc.value.code == 1
+    capsys.readouterr()
+    for command in ("verify", "table"):  # an empty sweep must not pass
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--b-max", "-1"])
+        assert exc.value.code == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "argument --b-max: must be >= 0, got -1" in out.err

@@ -27,6 +27,16 @@ def test_char_for_rejects_wrong_shape():
         char_for(NilManifold("T", 2), s=(1,), v=(0, 0), h=1)
 
 
+def test_char_bits_must_be_zero_or_one():
+    m = NilManifold("T", 2)
+    for v, h in (((1, 0), 3), ((1, 0), 1.7), ((True, False), 0),
+                 ((3, 0), 0), ((1, 0), "1"), ((-1, 0), 0)):
+        with pytest.raises(InvalidCharacter):
+            char_for(m, v=v, h=h)
+    with pytest.raises(InvalidCharacter):
+        char_for(m, v=(1, 0), h=1).with_bits((1, 0, 2))
+
+
 def test_validate_char():
     m = NilManifold("T", 3)
     good = char_for(m, v=(1, 0), h=0)
