@@ -37,13 +37,13 @@ def cup_cube_nonzero(m: NilManifold, phi: Z2Char) -> bool:
     inv = m.seifert()
     c, d, _ = cd_invariants(inv)
     if d == 0:
-        if phi["h"] != 1:
+        if phi.h != 1:
             return False
         if inv.epsilon == +1:
             return c % 4 == 2
         return (c + 2 * inv.g_prime) % 4 == 2
-    total = sum(phi["s%d" % (i + 1)] * (a // 2)
-                for i, (a, _) in enumerate(inv.pairs) if a % 2 == 0)
+    total = sum(bit * (a // 2)
+                for bit, (a, _) in zip(phi.s, inv.pairs) if a % 2 == 0)
     return total % 2 == 1
 
 
@@ -66,9 +66,9 @@ def index_one_case(m: NilManifold, phi: Z2Char) -> str | None:
     Klein family with phi(h) = 0 and both v-bits set.
     """
     validate_char(m, phi)
-    if m.family == "T" and phi["h"] == 0:
+    if m.family == "T" and phi.h == 0:
         return "class T with phi(h) = 0"
-    if m.family == "K" and phi["h"] == 0 and phi["v1"] == phi["v2"] == 1:
+    if m.family == "K" and phi.h == 0 and phi.v == (1, 1):
         return "class K with phi(h) = 0 and phi(v1) = phi(v2) = 1"
     return None
 
@@ -81,11 +81,11 @@ def index_three_case(m: NilManifold, phi: Z2Char) -> str | None:
     """
     validate_char(m, phi)
     fam, b = m.family, m.b
-    if fam in ("T", "K") and b % 4 == 2 and phi["h"] == 1:
+    if fam in ("T", "K") and b % 4 == 2 and phi.h == 1:
         return "class %s with b = 2 mod 4 and phi(h) = 1" % fam
     if fam == "333" and (b - 2 - sum(m.betas)) % 4 == 0:
         return "class 333 with b = 2 + b1 + b2 + b3 mod 4"
-    if fam == "244" and phi["s1"] == 1:
+    if fam == "244" and phi.s[0] == 1:
         return "class 244 with phi(s1) = 1"
     return None
 

@@ -14,12 +14,10 @@ import sys
 from .bu_index import index_report, z2_index
 from .coverings import (CoveringDescriptor, double_cover, quotients_of,
                         verify_cover)
-from .epimorphisms import (char_for, enumerate_epis, equivalence_classes,
-                           validate_char)
+from .epimorphisms import char_for, enumerate_epis, equivalence_classes
 from .homology import AbelianGroup, h1
-from .seifert import (NilError, NilManifold, ParseError, b_min, cd_invariants,
-                      euler_number, family_rows, parse_manifold,
-                      _expand_pairs)
+from .seifert import (ROWS, NilError, NilManifold, ParseError, b_min,
+                      cd_invariants, euler_number, parse_manifold, sweep)
 from .verify import verify_sweep
 
 
@@ -61,9 +59,7 @@ def _parse_phi(m: NilManifold, text: str):
                 all(isinstance(obj.get(k, []), list) for k in "sv")):
             raise ParseError("--phi JSON must be an object with lists s, v "
                              "and a bit h")
-        phi = char_for(m, tuple(obj.get("s", [])), tuple(obj.get("v", [])),
-                       obj.get("h", 0))
-        return validate_char(m, phi)
+        return char_for(m, **obj)
     epis = enumerate_epis(m)
     if not 0 <= idx < len(epis):
         raise ParseError("phi index %d out of range 0..%d" % (idx, len(epis) - 1))
@@ -182,33 +178,29 @@ def _c_formula(slope: int, intercept: int) -> str:
 def cmd_table(args) -> int:
     rows_json = []
     lines = ["%-12s  %-8s  %s  %s" % ("family", "c", "d", "b_min")]
-    rows = []
-    for family, betas in family_rows():
-        lo = b_min(_expand_pairs(family, betas))
+    for (family, betas), row in ROWS.items():
+        lo = row.b_min
         probe = NilManifold(family, lo, betas)
         c0, d, a = cd_invariants(probe.seifert())
         intercept = c0 - a * lo
         pattern = probe.encode().replace("(%d" % lo, "(b", 1)
         lines.append("%-12s  %-8s  %d  %d"
                      % (pattern, _c_formula(a, intercept), d, lo))
-        rows.append((family, betas, lo))
         rows_json.append({"family": family, "betas": list(betas),
                           "c_slope": a, "c_intercept": intercept,
                           "d": d, "b_min": lo})
     entries_json = []
     lines.append("")
     lines.append("%-12s  %-5s  %s  %-6s  %s" % ("manifold", "c", "d", "e", "h1"))
-    for family, betas, lo in rows:
-        for b in range(lo, lo + args.b_max + 1):
-            m = NilManifold(family, b, betas)
-            c, d, _ = cd_invariants(m.seifert())
-            e = euler_number(m.seifert())
-            g = h1(m)
-            lines.append("%-12s  %-5d  %d  %-6s  %s"
-                         % (m.encode(), c, d, e, _group_text(g)))
-            entries_json.append({"manifold": m.encode(), "c": c, "d": d,
-                                 "e": str(e), "free_rank": g.free_rank,
-                                 "torsion": list(g.torsion)})
+    for m in sweep(args.b_max):
+        c, d, _ = cd_invariants(m.seifert())
+        e = euler_number(m.seifert())
+        g = h1(m)
+        lines.append("%-12s  %-5d  %d  %-6s  %s"
+                     % (m.encode(), c, d, e, _group_text(g)))
+        entries_json.append({"manifold": m.encode(), "c": c, "d": d,
+                             "e": str(e), "free_rank": g.free_rank,
+                             "torsion": list(g.torsion)})
     _emit(args, lines, {"rows": rows_json, "entries": entries_json})
     return 0
 

@@ -21,8 +21,7 @@ from . import bu_index
 from .epimorphisms import Z2Char, equivalence_classes, validate_char
 from .homology import abelianization, h1
 from .presentation import fundamental_group, reidemeister_schreier
-from .seifert import (NilManifold, _expand_pairs, b_min, euler_number,
-                      family_rows)
+from .seifert import ROWS, NilManifold, euler_number
 
 
 @dataclass(frozen=True)
@@ -52,21 +51,21 @@ def double_cover(m: NilManifold, phi: Z2Char) -> NilManifold:
     b = m.b
     fam = m.family
     if fam == "T":
-        cover = NilManifold("T", b // 2) if phi["h"] else NilManifold("T", 2 * b)
+        cover = NilManifold("T", b // 2) if phi.h else NilManifold("T", 2 * b)
     elif fam == "K":
-        if phi["h"]:
+        if phi.h:
             cover = NilManifold("K", b // 2)
-        elif (phi["v1"] + phi["v2"]) % 2 == 1:
+        elif sum(phi.v) % 2 == 1:
             cover = NilManifold("K", 2 * b)
         else:
             cover = NilManifold("T", 2 * b)
     elif fam == "22":
-        if phi["s2"]:
+        if phi.s[1]:
             cover = NilManifold("K", 2 * b + 2)
         else:
             cover = NilManifold("2222", 2 * b)
     elif fam == "2222":
-        if all(phi["s%d" % i] for i in (1, 2, 3, 4)):
+        if all(phi.s):
             cover = NilManifold("T", 2 * b + 4)
         else:
             cover = NilManifold("2222", 2 * b + 2)
@@ -76,9 +75,9 @@ def double_cover(m: NilManifold, phi: Z2Char) -> NilManifold:
         cover = NilManifold("333", 2 * b + k, (b2, b2, k))
     elif fam == "244":
         b2, b3 = m.betas
-        if phi["s1"] == 0:
+        if phi.s[0] == 0:
             cover = NilManifold("2222", 2 * b - 1 + (b2 + b3) // 2)
-        elif phi["s3"] == 0:
+        elif phi.s[2] == 0:
             cover = NilManifold("244", 2 * b + (b2 + 1) // 2, (b3, b3))
         else:
             cover = NilManifold("244", 2 * b + (b3 + 1) // 2, (b2, b2))
@@ -88,7 +87,7 @@ def double_cover(m: NilManifold, phi: Z2Char) -> NilManifold:
             "333", (b + b1 + b2 + b3 - 6) // 2, (3 - b3, 3 - b2, 3 - b1))
     else:
         raise AssertionError("unknown family %r" % (fam,))
-    scale = Fraction(1, 2) if phi["h"] else Fraction(2)
+    scale = Fraction(1, 2) if phi.h else Fraction(2)
     assert euler_number(cover.seifert()) == scale * euler_number(m.seifert())
     return cover
 
@@ -105,7 +104,7 @@ def verify_cover(m: NilManifold, phi: Z2Char, claimed: NilManifold) -> bool:
     computed = abelianization(sub)
     if computed.decomposition != h1(claimed).decomposition:
         return False
-    scale = Fraction(1, 2) if phi["h"] else Fraction(2)
+    scale = Fraction(1, 2) if phi.h else Fraction(2)
     return euler_number(claimed.seifert()) == scale * euler_number(m.seifert())
 
 
@@ -118,12 +117,10 @@ def quotients_of(m: NilManifold) -> tuple[CoveringDescriptor, ...]:
     """
     e_m = euler_number(m.seifert())
     found = []
-    for family, betas in family_rows():
-        pairs = _expand_pairs(family, betas)
-        gamma = sum((Fraction(beta, a) for a, beta in pairs), Fraction(0))
+    for (family, betas), row in ROWS.items():
         for e_target in (e_m / 2, 2 * e_m):
-            b_cand = e_target - gamma
-            if b_cand.denominator != 1 or b_cand < b_min(pairs):
+            b_cand = e_target - row.gamma
+            if b_cand.denominator != 1 or b_cand < row.b_min:
                 continue
             base = NilManifold(family, int(b_cand), betas)
             for cls in equivalence_classes(base).classes:

@@ -1,12 +1,14 @@
 """Epimorphisms pi_1 -> Z2 of the Nil manifolds and their equivalence classes.
 
-A character is a bit per generator of the standard presentation; it is an
-epimorphism iff it kills every relator mod 2 and is nonzero.  Two
-epimorphisms determine equivalent double covers (the same free involution up
-to conjugacy) when one is carried to the other by one of five induced
-automorphism moves; the orbit closure under those moves is computed here by
-plain breadth-first search.  All orderings are deterministic: characters are
-compared by their bit tuple in generator order s_1..s_n, v_1..v_g', h.
+A character (Z2Char) is an epimorphism of one manifold: a bit per generator
+of its standard presentation, in the order s_1..s_n, v_1..v_g', h.  It is
+checked when it is made (char_for, with_bits and enumerate_epis all build
+through that check), so a layer given one only confirms it is a character of
+its manifold.  Two epimorphisms determine equivalent double covers (the same
+free involution up to conjugacy) when one is carried to the other by one of
+five induced automorphism moves; the orbit closure under those moves is
+computed here by plain breadth-first search.  All orderings are
+deterministic: characters are compared by their bit tuple.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from functools import lru_cache
 from itertools import product
 
 from .presentation import check_epimorphism, fundamental_group
-from .seifert import NilError, NilManifold
+from .seifert import FAMILIES, NilError, NilManifold
 
 
 class MoveNotApplicable(NilError):
@@ -27,44 +29,65 @@ class InvalidCharacter(NilError):
     """The character is not an epimorphism of this manifold's group."""
 
 
+def _shape(family: str) -> tuple[int, int]:
+    """(number of s-generators, number of v-generators) of the family."""
+    _, g, orders, _ = FAMILIES[family]
+    return len(orders), g
+
+
 @dataclass(frozen=True)
 class Z2Char:
-    """A mod-2 character on named generators, accessed like a mapping."""
+    """An epimorphism pi_1(manifold) -> Z2, checked when it is made.
 
-    generators: tuple[str, ...]
+    Reads like a mapping from generator names to bits.
+    """
+
+    manifold: NilManifold
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "bits", tuple(self.bits))
         for b in self.bits:
             if type(b) is not int or b not in (0, 1):  # bool is not a bit
                 raise InvalidCharacter("a bit must be 0 or 1, got %r" % (b,))
-        if len(self.generators) != len(self.bits):
+        pres = fundamental_group(self.manifold.seifert())
+        if len(self.bits) != len(pres.generators):
             raise InvalidCharacter("one bit per generator required")
+        try:
+            check_epimorphism(pres, dict(zip(pres.generators, self.bits)))
+        except NilError as err:
+            raise InvalidCharacter(str(err)) from err
+
+    @property
+    def generators(self) -> tuple[str, ...]:
+        n, g = _shape(self.manifold.family)
+        return tuple("s%d" % (i + 1) for i in range(n)) \
+            + tuple("v%d" % (j + 1) for j in range(g)) + ("h",)
+
+    @property
+    def s(self) -> tuple[int, ...]:
+        return self.bits[:_shape(self.manifold.family)[0]]
+
+    @property
+    def v(self) -> tuple[int, ...]:
+        return self.bits[_shape(self.manifold.family)[0]:-1]
+
+    @property
+    def h(self) -> int:
+        return self.bits[-1]
 
     def __getitem__(self, name: str) -> int:
-        try:
-            return self.bits[self.generators.index(name)]
-        except ValueError:
-            raise KeyError(name) from None
-
-    def _parts(self) -> tuple[list[int], list[int], int]:
-        s = [b for g, b in zip(self.generators, self.bits) if g.startswith("s")]
-        v = [b for g, b in zip(self.generators, self.bits) if g.startswith("v")]
-        return s, v, self["h"]
+        return dict(zip(self.generators, self.bits))[name]
 
     def to_json_dict(self) -> dict:
-        s, v, h = self._parts()
-        return {"s": s, "v": v, "h": h}
+        return {"s": list(self.s), "v": list(self.v), "h": self.h}
 
     def describe(self) -> str:
-        s, v, h = self._parts()
-        return "s=(%s) v=(%s) h=%d" % (",".join(map(str, s)),
-                                       ",".join(map(str, v)), h)
+        return "s=(%s) v=(%s) h=%d" % (",".join(map(str, self.s)),
+                                       ",".join(map(str, self.v)), self.h)
 
     def with_bits(self, bits) -> "Z2Char":
-        return Z2Char(self.generators, tuple(bits))
+        return Z2Char(self.manifold, tuple(bits))
 
     def __str__(self):
         return self.describe()
@@ -72,28 +95,20 @@ class Z2Char:
 
 def char_for(m: NilManifold, s=(), v=(), h=0) -> Z2Char:
     """Build a character on m's standard generators from s/v/h bit groups."""
-    pres = fundamental_group(m.seifert())
-    n_s = sum(1 for g in pres.generators if g.startswith("s"))
-    n_v = sum(1 for g in pres.generators if g.startswith("v"))
+    n_s, n_v = _shape(m.family)
     s, v = tuple(s), tuple(v)
     if len(s) != n_s or len(v) != n_v:
         raise InvalidCharacter(
             "%s takes %d s-bits and %d v-bits, got %d and %d"
             % (m.encode(), n_s, n_v, len(s), len(v)))
-    return Z2Char(pres.generators, s + v + (h,))
+    return Z2Char(m, s + v + (h,))
 
 
 def validate_char(m: NilManifold, phi: Z2Char) -> Z2Char:
-    """Check phi is an epimorphism of pi_1(m); raise InvalidCharacter if not."""
-    pres = fundamental_group(m.seifert())
-    if phi.generators != pres.generators:
-        raise InvalidCharacter(
-            "character generators %r do not match %s"
-            % (phi.generators, m.encode()))
-    try:
-        check_epimorphism(pres, phi)
-    except NilError as err:
-        raise InvalidCharacter(str(err)) from err
+    """Check phi is a character of m (not of another manifold); O(1)."""
+    if phi.manifold != m:
+        raise InvalidCharacter("character of %s used on %s"
+                               % (phi.manifold.encode(), m.encode()))
     return phi
 
 
@@ -101,17 +116,9 @@ def validate_char(m: NilManifold, phi: Z2Char) -> Z2Char:
 def enumerate_epis(m: NilManifold) -> tuple[Z2Char, ...]:
     """All epimorphisms pi_1(m) -> Z2, lexicographic in the bit tuple."""
     pres = fundamental_group(m.seifert())
-    out = []
-    for bits in product((0, 1), repeat=len(pres.generators)):
-        if not any(bits):
-            continue
-        ok = all(
-            sum(bits[abs(letter) - 1] for letter in word) % 2 == 0
-            for word in pres.relators)
-        if ok:
-            out.append(Z2Char(pres.generators, bits))
-    assert len({c.bits for c in out}) == len(out)
-    return tuple(out)
+    return tuple(Z2Char(m, bits)
+                 for bits in product((0, 1), repeat=len(pres.generators))
+                 if any(bits) and pres.odd_relator(bits) is None)
 
 
 @dataclass(frozen=True)
@@ -148,77 +155,61 @@ class ConeSlide:
 MoveSpec = FiberFlip | ConeSwap | TorusShear | KleinSwap | ConeSlide
 
 
-def _v_name(j: int) -> str:
-    return "v%d" % j
-
-
 def apply_move(phi: Z2Char, move: MoveSpec, m: NilManifold) -> Z2Char:
     """Image of phi under one induced automorphism move.
 
     Raises MoveNotApplicable when the move's hypotheses fail; the result is
-    always again an epimorphism.
+    always again an epimorphism (with_bits checks it).
     """
     validate_char(m, phi)
-    inv = m.seifert()
-    bits = list(phi.bits)
-    names = phi.generators
-
-    def idx(name):
-        return names.index(name)
-
+    s, v = list(phi.s), list(phi.v)
     if isinstance(move, FiberFlip):
-        if phi["h"] != 1:
+        if phi.h != 1:
             raise MoveNotApplicable("v-flips require phi(h) = 1")
-        g = sum(1 for g_ in names if g_.startswith("v"))
         seen = set()
         for j in move.v_indices:
-            if not 1 <= j <= g or j in seen:
+            if not 1 <= j <= len(v) or j in seen:
                 raise MoveNotApplicable("bad v index %r" % (j,))
             seen.add(j)
-            bits[idx(_v_name(j))] ^= 1
+            v[j - 1] ^= 1
     elif isinstance(move, ConeSwap):
-        n = len(inv.pairs)
+        pairs = m.seifert().pairs
+        n = len(pairs)
         i, j = move.i, move.j
         if not (1 <= i <= n and 1 <= j <= n and i != j):
             raise MoveNotApplicable("bad cone indices (%r, %r)" % (i, j))
-        if inv.pairs[i - 1] != inv.pairs[j - 1]:
+        if pairs[i - 1] != pairs[j - 1]:
             raise MoveNotApplicable(
                 "cones %d and %d have different invariants" % (i, j))
-        a, b_ = idx("s%d" % i), idx("s%d" % j)
-        bits[a], bits[b_] = bits[b_], bits[a]
+        s[i - 1], s[j - 1] = s[j - 1], s[i - 1]
     elif isinstance(move, TorusShear):
         if m.family != "T":
             raise MoveNotApplicable("shear moves live on the torus family")
         if move.variant == 1:
-            if phi["v1"] != 1:
+            if v[0] != 1:
                 raise MoveNotApplicable("variant 1 needs phi(v1) = 1")
-            bits[idx("v2")] ^= 1
+            v[1] ^= 1
         elif move.variant == 2:
-            if phi["v2"] != 1:
+            if v[1] != 1:
                 raise MoveNotApplicable("variant 2 needs phi(v2) = 1")
-            bits[idx("v1")] ^= 1
+            v[0] ^= 1
         else:
             raise MoveNotApplicable("shear variant must be 1 or 2")
     elif isinstance(move, KleinSwap):
         if m.family != "K":
             raise MoveNotApplicable("Klein swap lives on the K family")
-        pair = (phi["v1"], phi["v2"])
-        if pair not in ((1, 0), (0, 1)):
+        if v not in ([1, 0], [0, 1]):
             raise MoveNotApplicable("swap needs v-bits (1,0) or (0,1)")
-        a, b_ = idx("v1"), idx("v2")
-        bits[a], bits[b_] = bits[b_], bits[a]
+        v.reverse()
     elif isinstance(move, ConeSlide):
         if m.family != "22":
             raise MoveNotApplicable("cone slide lives on the 22 family")
-        if phi["s2"] != 1:
+        if s[1] != 1:
             raise MoveNotApplicable("cone slide needs phi(s2) = 1")
-        bits[idx("v1")] ^= 1
+        v[0] ^= 1
     else:
         raise MoveNotApplicable("unknown move %r" % (move,))
-
-    result = phi.with_bits(bits)
-    validate_char(m, result)
-    return result
+    return phi.with_bits(s + v + [phi.h])
 
 
 def available_moves(m: NilManifold) -> tuple[MoveSpec, ...]:

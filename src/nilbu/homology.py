@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .presentation import FinitePresentation, exponent_matrix, fundamental_group
+from .presentation import (FinitePresentation, exponent_matrix,
+                           fundamental_group, mod2_bits)
 from .seifert import InvariantError, NilManifold
 
 
@@ -235,15 +236,15 @@ def _gf2_consistent(rows, ncols) -> bool:
 def torsion_subgroup_killed_by(phi, group: AbelianGroup) -> bool:
     """True iff the mod-2 functional vanishes on the torsion subgroup.
 
-    phi maps generator names to bits.  Killing torsion is the same as
-    factoring through the free quotient, i.e. solvability of psi * F = phi
-    over GF(2) where F collects the free coordinates of the generator
-    images; that system is what gets checked.
+    phi maps generator names to the bits 0 and 1.  Killing torsion is the
+    same as factoring through the free quotient, i.e. solvability of
+    psi * F = phi over GF(2) where F collects the free coordinates of the
+    generator images; that system is what gets checked.
     """
     f = group.free_rank
-    rows = []
-    for name, coords in group.gen_images.items():
-        rows.append([c % 2 for c in coords[:f]] + [phi[name] % 2])
+    bits = mod2_bits(group.gen_images, phi)
+    rows = [[c % 2 for c in coords[:f]] + [bit]
+            for coords, bit in zip(group.gen_images.values(), bits)]
     return _gf2_consistent(rows, f)
 
 

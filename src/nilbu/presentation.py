@@ -5,13 +5,15 @@ Words are tuples of nonzero signed integers: letter +k is the k-th generator
 convention.  Presentations keep their relators freely reduced but otherwise
 untouched; no Tietze simplification happens anywhere, so rewritten subgroup
 presentations stay in the raw Reidemeister-Schreier shape that the homology
-routines consume.
+routines consume.  A mod-2 assignment maps generator names to the ints 0
+and 1, nothing else; odd_relator tests it against the parities of each
+relator's exponent sums, computed once per presentation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .seifert import InvariantError, NilError, SeifertInvariant
 
@@ -68,6 +70,18 @@ class FinitePresentation:
     def index(self, name: str) -> int:
         """1-based letter value of a generator name."""
         return self.generators.index(name) + 1
+
+    @cached_property
+    def _odd_masks(self) -> tuple[int, ...]:
+        # bit k of a relator's mask: its exponent sum on generator k+1 is odd
+        return tuple(sum(1 << k for k, e in enumerate(row) if e % 2)
+                     for row in exponent_matrix(self))
+
+    def odd_relator(self, bits) -> Word | None:
+        """First relator with odd image under bits (one per generator), or None."""
+        mask = sum(bit << i for i, bit in enumerate(bits))
+        return next((word for word, odd in zip(self.relators, self._odd_masks)
+                     if (mask & odd).bit_count() % 2), None)
 
     def format(self) -> str:
         """Debug rendering '<g1,g2 | w1, w2>'; for logging and test goldens only."""
@@ -158,19 +172,24 @@ def exponent_matrix(pres: FinitePresentation) -> list[list[int]]:
     return rows
 
 
-def _mod2_bits(pres: FinitePresentation, phi) -> list[int]:
+def mod2_bits(names, phi) -> list[int]:
+    """phi's bit on each named generator; NotAHomomorphism unless each is 0 or 1."""
     bits = []
-    for name in pres.generators:
+    for name in names:
         try:
-            bits.append(phi[name] & 1)
+            bit = phi[name]
         except (KeyError, TypeError) as err:
             raise NotAHomomorphism("phi is undefined on generator %r" % name) from err
+        if type(bit) is not int or bit not in (0, 1):  # bool is not a bit
+            raise NotAHomomorphism(
+                "phi(%s) must be 0 or 1, got %r" % (name, bit))
+        bits.append(bit)
     return bits
 
 
 def word_parity(pres: FinitePresentation, phi, word) -> int:
     """Image of a word under a mod-2 assignment on the generators."""
-    bits = _mod2_bits(pres, phi)
+    bits = mod2_bits(pres.generators, phi)
     return sum(bits[abs(letter) - 1] for letter in word) % 2
 
 
@@ -180,11 +199,11 @@ def check_epimorphism(pres: FinitePresentation, phi) -> list[int]:
     Raises NotAHomomorphism if some relator has odd phi-weight (or phi misses
     a generator), NotSurjective if every generator maps to 0.
     """
-    bits = _mod2_bits(pres, phi)
-    for word in pres.relators:
-        if sum(bits[abs(letter) - 1] for letter in word) % 2 != 0:
-            raise NotAHomomorphism(
-                "relator %s has odd image" % format_word(pres, word))
+    bits = mod2_bits(pres.generators, phi)
+    word = pres.odd_relator(bits)
+    if word is not None:
+        raise NotAHomomorphism(
+            "relator %s has odd image" % format_word(pres, word))
     if not any(bits):
         raise NotSurjective("phi kills every generator")
     return bits

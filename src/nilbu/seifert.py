@@ -44,6 +44,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class NilError(Exception):
@@ -185,24 +186,37 @@ FAMILIES = {
 _SORTED_BETAS = {"244", "333"}
 
 
-def _allowed_betas(a: int) -> tuple[int, ...]:
-    return tuple(beta for beta in range(1, a) if math.gcd(a, beta) == 1)
+def family_rows() -> list[tuple[str, tuple[int, ...]]]:
+    """All (family, betas) rows: one per allowed cone-parameter combination."""
+    rows = [("T", ()), ("K", ()), ("22", ()), ("2222", ())]
+    for b2 in (1, 2):
+        for b3 in (1, 5):
+            rows.append(("236", (b2, b3)))
+    rows += [("244", (1, 1)), ("244", (1, 3)), ("244", (3, 3))]
+    rows += [("333", (x, y, z))
+             for x in (1, 2) for y in (1, 2) for z in (1, 2)
+             if x <= y <= z]
+    return rows
 
 
-def _expand_pairs(family: str, betas) -> tuple[tuple[int, int], ...]:
-    # free orders consume betas left to right; remaining cones are order 2,
-    # forced to beta = 1
+class FamilyRow(NamedTuple):
+    """One family row: its exceptional pairs, gamma = sum b_i/a_i, b_min."""
+
+    pairs: tuple[tuple[int, int], ...]
+    gamma: Fraction
+    b_min: int
+
+
+def _family_row(family: str, betas) -> FamilyRow:
+    # the cones without a free beta come first and are order 2, beta = 1
     _, _, orders, free = FAMILIES[family]
-    pairs = []
-    it = iter(betas)
-    free_left = list(free)
-    for a in orders:
-        if free_left and a == free_left[0]:
-            free_left.pop(0)
-            pairs.append((a, next(it)))
-        else:
-            pairs.append((a, 1))
-    return tuple(pairs)
+    pairs = tuple(zip(orders, (1,) * (len(orders) - len(free)) + betas))
+    gamma = sum((Fraction(beta, a) for a, beta in pairs), Fraction(0))
+    return FamilyRow(pairs, gamma, b_min(pairs))
+
+
+# (family, betas) -> FamilyRow, in family_rows() order; pairs come sorted
+ROWS = {row: _family_row(*row) for row in family_rows()}
 
 
 @dataclass(frozen=True)
@@ -232,22 +246,24 @@ class NilManifold:
                 "family %s takes %d cone parameters, got %d"
                 % (self.family, len(free), len(betas)))
         for a, beta in zip(free, betas):
-            if beta not in _allowed_betas(a):
+            if not (0 < beta < a and math.gcd(a, beta) == 1):
                 raise InvariantError(
                     "cone parameter %d invalid for order %d in family %s"
                     % (beta, a, self.family))
-        if self.b < b_min(self._pairs()):
+        if self.b < self.row.b_min:
             raise InvariantError(
                 "b = %d below b_min = %d for family %s%r"
-                % (self.b, b_min(self._pairs()), self.family, betas))
+                % (self.b, self.row.b_min, self.family, betas))
 
-    def _pairs(self) -> tuple[tuple[int, int], ...]:
-        return _expand_pairs(self.family, self.betas)
+    @property
+    def row(self) -> FamilyRow:
+        """The family row (pairs, gamma, b_min) this manifold belongs to."""
+        return ROWS[(self.family, self.betas)]
 
     def seifert(self) -> SeifertInvariant:
         """Expand the family encoding to its normalized Seifert invariant."""
         eps, g, _, _ = FAMILIES[self.family]
-        return SeifertInvariant(self.b, eps, g, self._pairs())
+        return SeifertInvariant(self.b, eps, g, self.row.pairs)
 
     def encode(self) -> str:
         if not self.betas:
@@ -271,37 +287,18 @@ def classify(inv: SeifertInvariant) -> NilManifold:
         raise OrientationError(
             "e = %s < 0; classify(reverse_orientation(inv)) names the mirror"
             % (euler_number(inv),))
+    for (tag, betas), row in ROWS.items():
+        eps, g, _, _ = FAMILIES[tag]
+        if (eps, g, row.pairs) == (inv.epsilon, inv.g_prime, inv.pairs):
+            return NilManifold(tag, inv.b, betas)
     orders = tuple(a for a, _ in inv.pairs)
-    for tag, (eps, g, fam_orders, free) in FAMILIES.items():
-        if (eps, g, fam_orders) == (inv.epsilon, inv.g_prime, orders):
-            free_left = list(free)
-            betas = []
-            for a, beta in inv.pairs:
-                if free_left and a == free_left[0]:
-                    free_left.pop(0)
-                    betas.append(beta)
-            return NilManifold(tag, inv.b, tuple(betas))
     raise NotNil("chi = 0, e > 0 but shape %r matches no family" % ((inv.epsilon, inv.g_prime, orders),))
-
-
-def family_rows() -> list[tuple[str, tuple[int, ...]]]:
-    """All (family, betas) rows: one per allowed cone-parameter combination."""
-    rows = [("T", ()), ("K", ()), ("22", ()), ("2222", ())]
-    for b2 in (1, 2):
-        for b3 in (1, 5):
-            rows.append(("236", (b2, b3)))
-    rows += [("244", (1, 1)), ("244", (1, 3)), ("244", (3, 3))]
-    rows += [("333", (x, y, z))
-             for x in (1, 2) for y in (1, 2) for z in (1, 2)
-             if x <= y <= z]
-    return rows
 
 
 def sweep(depth: int = 16):
     """Iterate every family row with b from b_min to b_min + depth."""
-    for family, betas in family_rows():
-        lo = b_min(_expand_pairs(family, betas))
-        for b in range(lo, lo + depth + 1):
+    for (family, betas), row in ROWS.items():
+        for b in range(row.b_min, row.b_min + depth + 1):
             yield NilManifold(family, b, betas)
 
 

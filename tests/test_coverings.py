@@ -2,7 +2,7 @@ import pytest
 
 from nilbu import (InvalidCharacter, NilManifold, char_for, double_cover,
                    enumerate_epis, euler_number, expected_quotient_diagram,
-                   quotients_of, verify_cover)
+                   quotients_of, verify_cover, z2_index)
 
 
 def _cover(m, s=(), v=(), h=0):
@@ -71,6 +71,19 @@ def test_double_cover_rejects_bad_characters():
         double_cover(m, char_for(m, v=(0, 0), h=0))
     with pytest.raises(InvalidCharacter):
         double_cover(m, char_for(m, v=(0, 0), h=1))
+
+
+def test_layers_reject_a_character_of_another_manifold():
+    # T(5)'s and T(7)'s characters are epimorphisms of their own groups and
+    # have T(3)'s generator names; they still belong to another manifold
+    m = NilManifold("T", 3)
+    with pytest.raises(InvalidCharacter):
+        double_cover(m, char_for(NilManifold("T", 5), v=(1, 0), h=0))
+    with pytest.raises(InvalidCharacter):
+        z2_index(m, char_for(NilManifold("T", 7), v=(1, 1), h=0))
+    with pytest.raises(InvalidCharacter):
+        verify_cover(m, char_for(NilManifold("T", 5), v=(1, 0), h=0),
+                     NilManifold("T", 6))
 
 
 def test_verify_cover_accepts_truth():

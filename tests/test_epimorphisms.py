@@ -2,8 +2,8 @@ import pytest
 
 from nilbu import (ConeSlide, ConeSwap, FiberFlip, InvalidCharacter,
                    KleinSwap, MoveNotApplicable, NilManifold, TorusShear,
-                   apply_move, available_moves, char_for, enumerate_epis,
-                   equivalence_classes, expected_epi_count,
+                   Z2Char, apply_move, available_moves, char_for,
+                   enumerate_epis, equivalence_classes, expected_epi_count,
                    expected_partition_shape, h1, mod2_rank, sweep,
                    validate_char)
 
@@ -47,6 +47,32 @@ def test_validate_char():
         validate_char(m, char_for(m, v=(0, 0), h=0))  # zero map
     with pytest.raises(InvalidCharacter):
         validate_char(m, char_for(NilManifold("22", 0), s=(1, 1), v=(0,), h=0))
+    # same generator names, but another manifold's character
+    with pytest.raises(InvalidCharacter):
+        validate_char(m, char_for(NilManifold("T", 5), v=(1, 0), h=0))
+    with pytest.raises(InvalidCharacter):
+        validate_char(m, char_for(NilManifold("T", 7), v=(1, 1), h=0))
+
+
+def test_char_is_checked_when_made():
+    m = NilManifold("T", 3)
+    phi = Z2Char(m, (1, 0, 0))
+    assert phi == char_for(m, v=(1, 0), h=0) and phi.manifold == m
+    assert (phi.s, phi.v, phi.h) == ((), (1, 0), 0)
+    q = char_for(NilManifold("244", 0, (1, 3)), s=(1, 0, 1))
+    assert (q.s, q.v, q.h) == ((1, 0, 1), (), 0)
+    assert q.generators == ("s1", "s2", "s3", "h")
+    with pytest.raises(InvalidCharacter,
+                       match=r"^relator v1 v2 v1\^-1 v2\^-1 h\^-3 has odd image$"):
+        Z2Char(m, (0, 0, 1))
+    with pytest.raises(InvalidCharacter, match="^phi kills every generator$"):
+        Z2Char(m, (0, 0, 0))
+    with pytest.raises(InvalidCharacter, match="^one bit per generator"):
+        Z2Char(m, (1, 0))
+    with pytest.raises(InvalidCharacter):
+        phi.with_bits((0, 0, 1))
+    # a character of T(5) is not one of T(3), although the bits agree
+    assert Z2Char(NilManifold("T", 5), (1, 0, 0)) != phi
 
 
 def test_enumerate_epis_frozen_lists():

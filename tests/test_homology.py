@@ -3,7 +3,8 @@ import random
 import pytest
 
 from nilbu import (AbelianGroup, FinitePresentation, InvariantError,
-                   NilManifold, abelianization, determinant, enumerate_epis,
+                   NilManifold, NotAHomomorphism, abelianization, determinant,
+                   enumerate_epis,
                    fundamental_group, h1, h1_closed_form, h1_stated_relations,
                    mod2_rank, smith_normal_form, torsion_subgroup_killed_by)
 from nilbu.homology import identity, matmul
@@ -168,3 +169,10 @@ def test_torsion_killing_detects_fibre_class():
     others = [phi for phi in enumerate_epis(m) if phi["h"] == 1]
     assert len(others) == 4
     assert not any(torsion_subgroup_killed_by(phi, group) for phi in others)
+    # plain mappings work too, but only with the ints 0 and 1
+    assert torsion_subgroup_killed_by({"v1": 1, "v2": 0, "h": 0}, group)
+    for value in (3, True, 1.0, "1"):
+        with pytest.raises(NotAHomomorphism):
+            torsion_subgroup_killed_by({"v1": value, "v2": 0, "h": 0}, group)
+    with pytest.raises(NotAHomomorphism):
+        torsion_subgroup_killed_by({"v1": 1, "v2": 0}, group)

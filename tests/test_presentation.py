@@ -66,6 +66,8 @@ def test_word_parity():
     phi = {"v1": 1, "v2": 0, "h": 1}
     assert word_parity(p, phi, (1, 3, 3)) == 1
     assert word_parity(p, phi, (1, -1)) == 0
+    with pytest.raises(NotAHomomorphism):
+        word_parity(p, {"v1": 3, "v2": 0, "h": 1}, (1,))
 
 
 def test_check_epimorphism():
@@ -78,6 +80,21 @@ def test_check_epimorphism():
         check_epimorphism(p, {"v1": 0, "v2": 0, "h": 0})
     with pytest.raises(NotAHomomorphism):
         check_epimorphism(p, {"v1": 1, "v2": 0})
+    # values are never reduced mod 2: only the ints 0 and 1 are bits
+    q = FinitePresentation(("a",), ((1, 1),))
+    assert check_epimorphism(q, {"a": 1}) == [1]
+    for value in (3, True, 1.0, "1", -1, None):
+        with pytest.raises(NotAHomomorphism):
+            check_epimorphism(q, {"a": value})
+
+
+def test_odd_relator_reads_exponent_parity():
+    p = fundamental_group(NilManifold("T", 3).seifert())
+    assert p.odd_relator((1, 0, 0)) is None
+    assert p.odd_relator((0, 0, 1)) == p.relators[2]  # h^-3 is odd
+    q = FinitePresentation(("a", "b"), ((1, 2, 1, -2, 1), (2, 2)))
+    assert q.odd_relator((1, 0)) == q.relators[0]  # a three times
+    assert q.odd_relator((0, 1)) is None  # b twice in each relator
 
 
 def test_rs_free_group():
