@@ -61,6 +61,8 @@ def _parse_phi(m: NilManifold, text: str):
                              "and a bit h")
         return char_for(m, **obj)
     epis = enumerate_epis(m)
+    if not epis:
+        raise ParseError("%s has no epimorphism onto Z2" % m.encode())
     if not 0 <= idx < len(epis):
         raise ParseError("phi index %d out of range 0..%d" % (idx, len(epis) - 1))
     return epis[idx]
@@ -181,13 +183,12 @@ def cmd_table(args) -> int:
     for (family, betas), row in ROWS.items():
         lo = row.b_min
         probe = NilManifold(family, lo, betas)
-        c0, d, a = cd_invariants(probe.seifert())
-        intercept = c0 - a * lo
+        _, d, _ = cd_invariants(probe.seifert())
         pattern = probe.encode().replace("(%d" % lo, "(b", 1)
         lines.append("%-12s  %-8s  %d  %d"
-                     % (pattern, _c_formula(a, intercept), d, lo))
+                     % (pattern, _c_formula(row.lcm, row.c0), d, lo))
         rows_json.append({"family": family, "betas": list(betas),
-                          "c_slope": a, "c_intercept": intercept,
+                          "c_slope": row.lcm, "c_intercept": row.c0,
                           "d": d, "b_min": lo})
     entries_json = []
     lines.append("")

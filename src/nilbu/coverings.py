@@ -5,23 +5,22 @@ epimorphism phi: pi_1 -> Z2, family by family, in closed form.  verify_cover
 is the independent oracle: it rewrites the fundamental group to the index-2
 subgroup presentation (Reidemeister-Schreier), abelianizes with the Smith
 machinery and compares against H1 of the claimed cover, together with the
-Euler number relation e(cover) = 2^(1 - 2 phi(h)) * e(base).  quotients_of
-searches the finite set of candidate bases and inverts double_cover, which
-reproduces the known involution diagrams; those diagrams are also
-transcribed here (expected_quotient_diagram) so the two routes can be
-compared mechanically.
+Euler number relation e(cover) = 2^(1 - 2 phi(h)) * e(base), checked on the
+integer pairs (c, lcm) with e = c / lcm.  quotients_of inverts double_cover
+over the finitely many candidate bases, which reproduces the known involution
+diagrams; those diagrams are also transcribed here (expected_quotient_diagram)
+so the two routes can be compared mechanically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import bu_index
 from .epimorphisms import Z2Char, equivalence_classes, validate_char
 from .homology import abelianization, h1
 from .presentation import fundamental_group, reidemeister_schreier
-from .seifert import ROWS, NilManifold, euler_number
+from .seifert import ROWS, NilManifold, cd_invariants
 
 
 @dataclass(frozen=True)
@@ -87,9 +86,15 @@ def double_cover(m: NilManifold, phi: Z2Char) -> NilManifold:
             "333", (b + b1 + b2 + b3 - 6) // 2, (3 - b3, 3 - b2, 3 - b1))
     else:
         raise AssertionError("unknown family %r" % (fam,))
-    scale = Fraction(1, 2) if phi.h else Fraction(2)
-    assert euler_number(cover.seifert()) == scale * euler_number(m.seifert())
+    assert _euler_scales(m, phi, cover)
     return cover
+
+
+def _euler_scales(m: NilManifold, phi: Z2Char, cover: NilManifold) -> bool:
+    # e(cover) = 2^(1 - 2 phi(h)) e(m), cross-multiplied: e = c / lcm
+    c_m, _, l_m = cd_invariants(m.seifert())
+    c, _, l = cd_invariants(cover.seifert())
+    return 2 ** phi.h * c * l_m == 2 ** (1 - phi.h) * c_m * l
 
 
 def verify_cover(m: NilManifold, phi: Z2Char, claimed: NilManifold) -> bool:
@@ -102,27 +107,26 @@ def verify_cover(m: NilManifold, phi: Z2Char, claimed: NilManifold) -> bool:
     validate_char(m, phi)
     sub = reidemeister_schreier(fundamental_group(m.seifert()), phi)
     computed = abelianization(sub)
-    if computed.decomposition != h1(claimed).decomposition:
-        return False
-    scale = Fraction(1, 2) if phi.h else Fraction(2)
-    return euler_number(claimed.seifert()) == scale * euler_number(m.seifert())
+    return (computed.decomposition == h1(claimed).decomposition
+            and _euler_scales(m, phi, claimed))
 
 
 def quotients_of(m: NilManifold) -> tuple[CoveringDescriptor, ...]:
     """All free involutions on m: (base, class, index) with cover m.
 
-    A base n must satisfy e(n) = e(m)/2 or e(n) = 2 e(m), which pins b for
-    every family row; the finitely many candidates are enumerated and their
-    classes filtered through double_cover.  Sorted by base encoding.
+    A base n must satisfy e(n) = k e(m) / 2, k = 1 or 4: in each family row
+    b*lcm + c0 = k c_m lcm / (2 l_m) for an integer b >= b_min.  Each class of
+    each candidate is filtered through double_cover.  Sorted by base encoding.
     """
-    e_m = euler_number(m.seifert())
+    c_m, _, l_m = cd_invariants(m.seifert())
     found = []
     for (family, betas), row in ROWS.items():
-        for e_target in (e_m / 2, 2 * e_m):
-            b_cand = e_target - row.gamma
-            if b_cand.denominator != 1 or b_cand < row.b_min:
+        for k in (1, 4):
+            b_cand, rem = divmod(k * c_m * row.lcm - 2 * l_m * row.c0,
+                                 2 * l_m * row.lcm)
+            if rem or b_cand < row.b_min:
                 continue
-            base = NilManifold(family, int(b_cand), betas)
+            base = NilManifold(family, b_cand, betas)
             for cls in equivalence_classes(base).classes:
                 rep = cls.representative
                 if double_cover(base, rep) == m:

@@ -35,7 +35,7 @@ what the base orbifold looks like:
     333     +1   0   3, 3, 3         b1 <= b2 <= b3 in {1,2}
 
 Within each family b ranges over the integers with e > 0, i.e. b >= b_min.
-Everything here is exact: rationals are fractions.Fraction, never floats.
+Everything is exact: e and chi are Fractions, c = e * lcm(a_i) is an int.
 """
 
 from __future__ import annotations
@@ -140,16 +140,11 @@ def euler_number(inv: SeifertInvariant) -> Fraction:
 
 
 def cd_invariants(inv: SeifertInvariant) -> tuple[int, int, int]:
-    """(c, d, a): c = e * lcm(a_i), d = number of even a_i, a = lcm(a_i).
-
-    Defined for chi = 0 invariants, where c is an integer.
-    """
-    a = math.lcm(*(ai for ai, _ in inv.pairs)) if inv.pairs else 1
-    c = euler_number(inv) * a
-    if c.denominator != 1:
-        raise InvariantError("c = e*lcm is not integral; invariant is not flat-based")
+    """(c, d, a): c = e * lcm(a_i), d = number of even a_i, a = lcm(a_i)."""
+    a = math.lcm(*(ai for ai, _ in inv.pairs))
+    c = inv.b * a + sum(beta * (a // ai) for ai, beta in inv.pairs)
     d = sum(1 for ai, _ in inv.pairs if ai % 2 == 0)
-    return int(c), d, a
+    return c, d, a
 
 
 def b_min(pairs) -> int:
@@ -200,19 +195,20 @@ def family_rows() -> list[tuple[str, tuple[int, ...]]]:
 
 
 class FamilyRow(NamedTuple):
-    """One family row: its exceptional pairs, gamma = sum b_i/a_i, b_min."""
+    """One family row: its pairs, lcm(a_i), c0 (c = b*lcm + c0) and b_min."""
 
     pairs: tuple[tuple[int, int], ...]
-    gamma: Fraction
+    lcm: int
+    c0: int
     b_min: int
 
 
 def _family_row(family: str, betas) -> FamilyRow:
     # the cones without a free beta come first and are order 2, beta = 1
-    _, _, orders, free = FAMILIES[family]
+    eps, g, orders, free = FAMILIES[family]
     pairs = tuple(zip(orders, (1,) * (len(orders) - len(free)) + betas))
-    gamma = sum((Fraction(beta, a) for a, beta in pairs), Fraction(0))
-    return FamilyRow(pairs, gamma, b_min(pairs))
+    c0, _, lcm = cd_invariants(SeifertInvariant(0, eps, g, pairs))
+    return FamilyRow(pairs, lcm, c0, b_min(pairs))
 
 
 # (family, betas) -> FamilyRow, in family_rows() order; pairs come sorted
@@ -257,7 +253,7 @@ class NilManifold:
 
     @property
     def row(self) -> FamilyRow:
-        """The family row (pairs, gamma, b_min) this manifold belongs to."""
+        """The family row (pairs, lcm, c0, b_min) this manifold belongs to."""
         return ROWS[(self.family, self.betas)]
 
     def seifert(self) -> SeifertInvariant:

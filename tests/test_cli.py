@@ -206,6 +206,10 @@ def test_invalid_inputs_exit_one(capsys):
             assert code == 1 and out == "", (command, phi)
             assert len(err.splitlines()) == 1, (command, phi)
             assert err.startswith("error: "), (command, phi)
+    for command in ("cover", "index"):  # no epimorphism, so no index range
+        code, out, err = run(capsys, command, "333(0;1,1,1)", "--phi", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: 333(0;1,1,1) has no epimorphism onto Z2\n"
 
 
 def test_usage_errors_exit_one(capsys):
