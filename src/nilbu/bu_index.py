@@ -28,7 +28,7 @@ from .seifert import NilManifold, cd_invariants
 def index_is_one(m: NilManifold, phi: Z2Char) -> bool:
     """True iff the pair has Z2-index 1: phi kills the torsion of H1."""
     validate_char(m, phi)
-    return torsion_subgroup_killed_by(phi, h1(m))
+    return torsion_subgroup_killed_by(phi.bits, h1(m))
 
 
 def cup_cube_nonzero(m: NilManifold, phi: Z2Char) -> bool:

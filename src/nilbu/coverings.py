@@ -105,7 +105,7 @@ def verify_cover(m: NilManifold, phi: Z2Char, claimed: NilManifold) -> bool:
     relation.  True iff both hold.
     """
     validate_char(m, phi)
-    sub = reidemeister_schreier(fundamental_group(m.seifert()), phi)
+    sub = reidemeister_schreier(fundamental_group(m.seifert()), phi.bits)
     computed = abelianization(sub)
     return (computed.decomposition == h1(claimed).decomposition
             and _euler_scales(m, phi, claimed))

@@ -39,7 +39,7 @@ def _shape(family: str) -> tuple[int, int]:
 class Z2Char:
     """An epimorphism pi_1(manifold) -> Z2, checked when it is made.
 
-    Reads like a mapping from generator names to bits.
+    Held as its bits in generator order, read in groups through s, v and h.
     """
 
     manifold: NilManifold
@@ -47,22 +47,11 @@ class Z2Char:
 
     def __post_init__(self):
         object.__setattr__(self, "bits", tuple(self.bits))
-        for b in self.bits:
-            if type(b) is not int or b not in (0, 1):  # bool is not a bit
-                raise InvalidCharacter("a bit must be 0 or 1, got %r" % (b,))
-        pres = fundamental_group(self.manifold.seifert())
-        if len(self.bits) != len(pres.generators):
-            raise InvalidCharacter("one bit per generator required")
         try:
-            check_epimorphism(pres, dict(zip(pres.generators, self.bits)))
+            check_epimorphism(fundamental_group(self.manifold.seifert()),
+                              self.bits)
         except NilError as err:
             raise InvalidCharacter(str(err)) from err
-
-    @property
-    def generators(self) -> tuple[str, ...]:
-        n, g = _shape(self.manifold.family)
-        return tuple("s%d" % (i + 1) for i in range(n)) \
-            + tuple("v%d" % (j + 1) for j in range(g)) + ("h",)
 
     @property
     def s(self) -> tuple[int, ...]:
@@ -75,9 +64,6 @@ class Z2Char:
     @property
     def h(self) -> int:
         return self.bits[-1]
-
-    def __getitem__(self, name: str) -> int:
-        return dict(zip(self.generators, self.bits))[name]
 
     def to_json_dict(self) -> dict:
         return {"s": list(self.s), "v": list(self.v), "h": self.h}

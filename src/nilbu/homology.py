@@ -13,48 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .presentation import (FinitePresentation, exponent_matrix,
-                           fundamental_group, mod2_bits)
+from .presentation import (FinitePresentation, check_bits, exponent_matrix,
+                           fundamental_group)
 from .seifert import InvariantError, NilManifold
 
 
 def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def matmul(a, b) -> list[list[int]]:
-    if any(len(row) != len(b) for row in a):
-        raise InvariantError("inner dimensions disagree")
-    bc = len(b[0]) if b else 0
-    return [[sum(row[k] * b[k][j] for k in range(len(b))) for j in range(bc)]
-            for row in a]
-
-
-def determinant(m) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise InvariantError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def smith_normal_form(m):
@@ -233,16 +198,17 @@ def _gf2_consistent(rows, ncols) -> bool:
     return not any(row[-1] and not any(row[:-1]) for row in rows)
 
 
-def torsion_subgroup_killed_by(phi, group: AbelianGroup) -> bool:
-    """True iff the mod-2 functional vanishes on the torsion subgroup.
+def torsion_subgroup_killed_by(bits, group: AbelianGroup) -> bool:
+    """True iff the mod-2 functional phi vanishes on the torsion subgroup.
 
-    phi maps generator names to the bits 0 and 1.  Killing torsion is the
-    same as factoring through the free quotient, i.e. solvability of
-    psi * F = phi over GF(2) where F collects the free coordinates of the
-    generator images; that system is what gets checked.
+    phi is given by its bits (the ints 0 and 1) in generator order, the
+    order of group.gen_images.  Killing torsion is the same as factoring
+    through the free quotient, i.e. solvability of psi * F = phi over GF(2)
+    where F collects the free coordinates of the generator images; that
+    system is what gets checked.
     """
     f = group.free_rank
-    bits = mod2_bits(group.gen_images, phi)
+    check_bits(bits, len(group.gen_images))
     rows = [[c % 2 for c in coords[:f]] + [bit]
             for coords, bit in zip(group.gen_images.values(), bits)]
     return _gf2_consistent(rows, f)

@@ -5,9 +5,10 @@ Words are tuples of nonzero signed integers: letter +k is the k-th generator
 convention.  Presentations keep their relators freely reduced but otherwise
 untouched; no Tietze simplification happens anywhere, so rewritten subgroup
 presentations stay in the raw Reidemeister-Schreier shape that the homology
-routines consume.  A mod-2 assignment maps generator names to the ints 0
-and 1, nothing else; odd_relator tests it against the parities of each
-relator's exponent sums, computed once per presentation.
+routines consume.  A mod-2 assignment is a tuple of bits in generator
+order, each the int 0 or 1 and nothing else; odd_relator tests it against
+the parities of each relator's exponent sums, computed once per
+presentation.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ def free_reduce(word) -> Word:
         else:
             out.append(letter)
     return tuple(out)
-
-
-def inverse_word(word) -> Word:
-    return tuple(-letter for letter in reversed(word))
 
 
 @dataclass(frozen=True)
@@ -172,47 +169,36 @@ def exponent_matrix(pres: FinitePresentation) -> list[list[int]]:
     return rows
 
 
-def mod2_bits(names, phi) -> list[int]:
-    """phi's bit on each named generator; NotAHomomorphism unless each is 0 or 1."""
-    bits = []
-    for name in names:
-        try:
-            bit = phi[name]
-        except (KeyError, TypeError) as err:
-            raise NotAHomomorphism("phi is undefined on generator %r" % name) from err
+def check_bits(bits, n: int) -> None:
+    """NotAHomomorphism unless bits holds n bits, each the int 0 or 1."""
+    for bit in bits:
         if type(bit) is not int or bit not in (0, 1):  # bool is not a bit
-            raise NotAHomomorphism(
-                "phi(%s) must be 0 or 1, got %r" % (name, bit))
-        bits.append(bit)
-    return bits
+            raise NotAHomomorphism("a bit must be 0 or 1, got %r" % (bit,))
+    if len(bits) != n:
+        raise NotAHomomorphism("one bit per generator required")
 
 
-def word_parity(pres: FinitePresentation, phi, word) -> int:
-    """Image of a word under a mod-2 assignment on the generators."""
-    bits = mod2_bits(pres.generators, phi)
-    return sum(bits[abs(letter) - 1] for letter in word) % 2
+def check_epimorphism(pres: FinitePresentation, bits) -> None:
+    """Validate bits (in generator order) as an epimorphism pi -> Z2.
 
-
-def check_epimorphism(pres: FinitePresentation, phi) -> list[int]:
-    """Validate phi: pi -> Z2 is a surjective homomorphism; return its bits.
-
-    Raises NotAHomomorphism if some relator has odd phi-weight (or phi misses
-    a generator), NotSurjective if every generator maps to 0.
+    Raises NotAHomomorphism unless there is one bit, the int 0 or 1, per
+    generator and every relator has even image; NotSurjective if every bit
+    is 0.
     """
-    bits = mod2_bits(pres.generators, phi)
+    check_bits(bits, len(pres.generators))
     word = pres.odd_relator(bits)
     if word is not None:
         raise NotAHomomorphism(
             "relator %s has odd image" % format_word(pres, word))
     if not any(bits):
         raise NotSurjective("phi kills every generator")
-    return bits
 
 
-def reidemeister_schreier(pres: FinitePresentation, phi,
+def reidemeister_schreier(pres: FinitePresentation, bits,
                           transversal: str | None = None) -> FinitePresentation:
     """Presentation of the index-2 subgroup ker(phi) by Reidemeister-Schreier.
 
+    phi is given by its bits in generator order.
     The transversal is {1, t} with t the first generator (in presentation
     order) mapping to 1, unless another phi = 1 generator is named.  Schreier
     generators are gamma(r, x) = r x (rx-bar)^-1 for coset r in {0, 1} and
@@ -221,7 +207,7 @@ def reidemeister_schreier(pres: FinitePresentation, phi,
     giving 2r relators, freely reduced but not otherwise simplified (empty
     rewrites are kept).
     """
-    bits = check_epimorphism(pres, phi)
+    check_epimorphism(pres, bits)
     if transversal is None:
         t = bits.index(1)
     else:
@@ -255,5 +241,5 @@ def reidemeister_schreier(pres: FinitePresentation, phi,
                     if not (x == t and coset == 0):
                         out.append(-index[(x, coset)])
             assert coset == start, "relator escaped its coset"
-            relators.append(free_reduce(out))
+            relators.append(out)
     return FinitePresentation(tuple(names), tuple(relators))

@@ -303,14 +303,22 @@ _PAIR_RE = re.compile(r"\((-?\d+),(-?\d+)\)")
 _FAMILY_RE = re.compile(r"^([A-Za-z0-9]+)\((-?\d+)(?:;(-?\d+(?:,-?\d+)*))?\)$")
 
 
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError as err:  # more digits than int() converts
+        raise ParseError("integer of %d digits is too long"
+                         % len(digits.lstrip("-"))) from err
+
+
 def parse_seifert(text: str) -> SeifertInvariant:
     """Parse 'SF(b; eps; g'; (a1,b1)(a2,b2)...)', whitespace-insensitive; normalizes."""
     compact = re.sub(r"\s+", "", text)
     m = _SF_RE.match(compact)
     if not m:
         raise ParseError("not a Seifert invariant encoding: %r" % text)
-    b, eps, g = int(m.group(1)), int(m.group(2)), int(m.group(3))
-    pairs = [(int(a), int(beta)) for a, beta in _PAIR_RE.findall(m.group(4))]
+    b, eps, g = map(_int, m.group(1, 2, 3))
+    pairs = [(_int(a), _int(beta)) for a, beta in _PAIR_RE.findall(m.group(4))]
     try:
         return normalize(b, eps, g, pairs)
     except InvariantError as err:
@@ -323,8 +331,8 @@ def parse_family(text: str) -> NilManifold:
     m = _FAMILY_RE.match(compact)
     if not m or m.group(1) not in FAMILIES:
         raise ParseError("not a family encoding: %r" % text)
-    family, b = m.group(1), int(m.group(2))
-    betas = tuple(int(x) for x in m.group(3).split(",")) if m.group(3) else ()
+    family, b = m.group(1), _int(m.group(2))
+    betas = tuple(map(_int, m.group(3).split(","))) if m.group(3) else ()
     try:
         return NilManifold(family, b, betas)
     except InvariantError as err:

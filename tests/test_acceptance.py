@@ -19,7 +19,8 @@ from nilbu import (NilManifold, SeifertInvariant, apply_move,
                    index_is_one, cup_cube_nonzero, MoveNotApplicable,
                    normalize, quotients_of, reverse_orientation,
                    smith_normal_form, verify_cover, z2_index)
-from nilbu.homology import determinant, matmul
+
+from helpers import determinant, matmul
 
 
 def criterion(n):
@@ -98,19 +99,19 @@ def _stated_cover(m, phi):
     """Independent transcription of the per-class covering formulas."""
     b = m.b
     if m.family == "T":
-        return NilManifold("T", b // 2 if phi["h"] else 2 * b)
+        return NilManifold("T", b // 2 if phi.h else 2 * b)
     if m.family == "K":
-        if phi["h"]:
+        if phi.h:
             return NilManifold("K", b // 2)
-        if phi["v1"] != phi["v2"]:
+        if phi.v[0] != phi.v[1]:
             return NilManifold("K", 2 * b)
         return NilManifold("T", 2 * b)
     if m.family == "22":
-        if phi["s1"] and phi["s2"]:
+        if phi.s[0] and phi.s[1]:
             return NilManifold("K", 2 * b + 2)
         return NilManifold("2222", 2 * b)
     if m.family == "2222":
-        weight = sum(phi["s%d" % i] for i in (1, 2, 3, 4))
+        weight = sum(phi.s)
         if weight == 4:
             return NilManifold("T", 2 * b + 4)
         return NilManifold("2222", 2 * b + 2)
@@ -121,9 +122,9 @@ def _stated_cover(m, phi):
     if m.family == "244":
         b2, b3 = m.betas
         half = {1: 1, 3: 2}
-        if not phi["s1"]:
+        if not phi.s[0]:
             return NilManifold("2222", 2 * b - 1 + (b2 + b3) // 2)
-        if not phi["s3"]:
+        if not phi.s[2]:
             return NilManifold("244", 2 * b + half[b2], (b3, b3))
         return NilManifold("244", 2 * b + half[b3], (b2, b2))
     if m.family == "333":
@@ -151,7 +152,7 @@ def test_criterion_5_covering_oracle(sweep16):
         for phi in enumerate_epis(m):
             cover = double_cover(m, phi)
             assert verify_cover(m, phi, cover), (m.encode(), phi.describe())
-            scale = Fraction(1, 2) if phi["h"] else Fraction(2)
+            scale = Fraction(1, 2) if phi.h else Fraction(2)
             assert euler_number(cover.seifert()) == scale * e
 
 

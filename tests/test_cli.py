@@ -206,6 +206,21 @@ def test_invalid_inputs_exit_one(capsys):
             assert code == 1 and out == "", (command, phi)
             assert len(err.splitlines()) == 1, (command, phi)
             assert err.startswith("error: "), (command, phi)
+    exact = [('{"v":[1,0],"h":3}', "a bit must be 0 or 1, got 3"),
+             ('{"v":[true,false],"h":0}', "a bit must be 0 or 1, got True"),
+             ('{"v":[0,0],"h":1}',
+              "relator v1 v2 v1^-1 v2^-1 h^-3 has odd image")]
+    for phi, message in exact:
+        code, out, err = run(capsys, "cover", "T(3)", "--phi", phi)
+        assert (code, out, err) == (1, "", "error: %s\n" % message), phi
+    digits = "7" * 5000  # more digits than int() converts
+    too_long = "error: integer of 5000 digits is too long\n"
+    for args in (("h1", "T(%s)" % digits),
+                 ("classify", "SF(%s; +1; 2; )" % digits)):
+        assert run(capsys, *args) == (1, "", too_long), args[0]
+    too_long = "error: --phi holds an integer with too many digits\n"
+    for phi in (digits, '{"v": [1, 0], "h": %s}' % digits):
+        assert run(capsys, "cover", "T(3)", "--phi", phi) == (1, "", too_long)
     for command in ("cover", "index"):  # no epimorphism, so no index range
         code, out, err = run(capsys, command, "333(0;1,1,1)", "--phi", "0")
         assert (code, out) == (1, "")

@@ -61,7 +61,7 @@ def test_cover_euler_number_scaling():
         e = euler_number(m.seifert())
         for phi in enumerate_epis(m):
             cover = double_cover(m, phi)
-            expected = e / 2 if phi["h"] else 2 * e
+            expected = e / 2 if phi.h else 2 * e
             assert euler_number(cover.seifert()) == expected
 
 

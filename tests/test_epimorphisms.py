@@ -10,11 +10,8 @@ from nilbu import (ConeSlide, ConeSwap, FiberFlip, InvalidCharacter,
 
 def test_char_access():
     phi = char_for(NilManifold("22", 0), s=(1, 1), v=(0,), h=0)
-    assert phi.generators == ("s1", "s2", "v1", "h")
     assert phi.bits == (1, 1, 0, 0)
-    assert phi["s1"] == 1 and phi["v1"] == 0 and phi["h"] == 0
-    with pytest.raises(KeyError):
-        phi["s3"]
+    assert phi.s[0] == 1 and phi.v[0] == 0 and phi.h == 0
     assert phi.describe() == "s=(1,1) v=(0) h=0"
     assert phi.to_json_dict() == {"s": [1, 1], "v": [0], "h": 0}
     assert phi.with_bits((0, 0, 1, 0)).bits == (0, 0, 1, 0)
@@ -61,7 +58,6 @@ def test_char_is_checked_when_made():
     assert (phi.s, phi.v, phi.h) == ((), (1, 0), 0)
     q = char_for(NilManifold("244", 0, (1, 3)), s=(1, 0, 1))
     assert (q.s, q.v, q.h) == ((1, 0, 1), (), 0)
-    assert q.generators == ("s1", "s2", "s3", "h")
     with pytest.raises(InvalidCharacter,
                        match=r"^relator v1 v2 v1\^-1 v2\^-1 h\^-3 has odd image$"):
         Z2Char(m, (0, 0, 1))

@@ -3,11 +3,13 @@ import random
 import pytest
 
 from nilbu import (AbelianGroup, FinitePresentation, InvariantError,
-                   NilManifold, NotAHomomorphism, abelianization, determinant,
+                   NilManifold, NotAHomomorphism, abelianization,
                    enumerate_epis,
                    fundamental_group, h1, h1_closed_form, h1_stated_relations,
                    mod2_rank, smith_normal_form, torsion_subgroup_killed_by)
-from nilbu.homology import identity, matmul
+from nilbu.homology import identity
+
+from helpers import determinant, matmul
 
 
 def _random_matrix(rng):
@@ -163,16 +165,17 @@ def test_torsion_killing_detects_fibre_class():
     m = NilManifold("T", 2)
     group = h1(m)
     killed = [phi for phi in enumerate_epis(m)
-              if torsion_subgroup_killed_by(phi, group)]
+              if torsion_subgroup_killed_by(phi.bits, group)]
     assert len(killed) == 3
-    assert all(phi["h"] == 0 for phi in killed)
-    others = [phi for phi in enumerate_epis(m) if phi["h"] == 1]
+    assert all(phi.h == 0 for phi in killed)
+    others = [phi for phi in enumerate_epis(m) if phi.h == 1]
     assert len(others) == 4
-    assert not any(torsion_subgroup_killed_by(phi, group) for phi in others)
-    # plain mappings work too, but only with the ints 0 and 1
-    assert torsion_subgroup_killed_by({"v1": 1, "v2": 0, "h": 0}, group)
+    assert not any(torsion_subgroup_killed_by(phi.bits, group)
+                   for phi in others)
+    # bits in generator order (v1, v2, h), and only the ints 0 and 1
+    assert torsion_subgroup_killed_by((1, 0, 0), group)
     for value in (3, True, 1.0, "1"):
         with pytest.raises(NotAHomomorphism):
-            torsion_subgroup_killed_by({"v1": value, "v2": 0, "h": 0}, group)
+            torsion_subgroup_killed_by((value, 0, 0), group)
     with pytest.raises(NotAHomomorphism):
-        torsion_subgroup_killed_by({"v1": 1, "v2": 0}, group)
+        torsion_subgroup_killed_by((1, 0), group)  # no bit for h
