@@ -105,7 +105,9 @@ def verify_cover(m: NilManifold, phi: Z2Char, claimed: NilManifold) -> bool:
     relation.  True iff both hold.
     """
     validate_char(m, phi)
-    sub = reidemeister_schreier(fundamental_group(m.seifert()), phi.bits)
+    # with t = h the syllable h^-b rewrites to one syllable, not b of them
+    sub = reidemeister_schreier(fundamental_group(m.seifert()), phi.bits,
+                                transversal="h" if phi.h else None)
     computed = abelianization(sub)
     return (computed.decomposition == h1(claimed).decomposition
             and _euler_scales(m, phi, claimed))

@@ -1,14 +1,18 @@
 """Finite group presentations, fundamental groups, index-2 subgroup presentations.
 
-Words are tuples of nonzero signed integers: letter +k is the k-th generator
-(1-based), -k its inverse, following the usual computational group theory
-convention.  Presentations keep their relators freely reduced but otherwise
-untouched; no Tietze simplification happens anywhere, so rewritten subgroup
-presentations stay in the raw Reidemeister-Schreier shape that the homology
-routines consume.  A mod-2 assignment is a tuple of bits in generator
-order, each the int 0 or 1 and nothing else; odd_relator tests it against
-the parities of each relator's exponent sums, computed once per
-presentation.
+Words are tuples of syllables: (k, e) is the k-th generator (1-based) to the
+power e, a nonzero int, so h^-b is the one syllable (h, -b) and no word's size
+grows with an exponent (the syllable words of Holt, Eick and O'Brien,
+Handbook of Computational Group Theory, 2005, section 2.5).  Presentations
+keep their relators freely reduced, with no two adjacent syllables on one
+generator, but otherwise untouched; no Tietze simplification happens
+anywhere, so rewritten subgroup presentations stay in the raw
+Reidemeister-Schreier shape that the homology routines consume.
+FinitePresentation.relators spells the relators out letter by letter (+k,
+-k) for tests that pin that form; nothing in the package reads it.  A mod-2
+assignment is a tuple of bits in generator order, each the int 0 or 1 and
+nothing else; odd_relator tests it against the parities of each relator's
+exponent sums, computed once per presentation.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from functools import cached_property, lru_cache
 
 from .seifert import InvariantError, NilError, SeifertInvariant
 
-Word = tuple[int, ...]
+Word = tuple[tuple[int, int], ...]
 
 
 class NotAHomomorphism(NilError):
@@ -30,24 +34,28 @@ class NotSurjective(NilError):
 
 
 def free_reduce(word) -> Word:
-    """Cancel adjacent x x^-1 pairs until none remain."""
+    """Merge adjacent syllables on one generator and drop zero exponents."""
     out = []
-    for letter in word:
-        if letter == 0:
-            raise InvariantError("0 is not a letter")
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
+    for gen, exp in word:
+        if out and out[-1][0] == gen:
+            exp += out.pop()[1]
+        if exp:
+            out.append((gen, exp))
     return tuple(out)
+
+
+def letters(word) -> tuple[int, ...]:
+    """The word letter by letter: +k for each generator k, -k for its inverse."""
+    return tuple(letter for gen, exp in word
+                 for letter in ((gen,) * exp if exp > 0 else (-gen,) * -exp))
 
 
 @dataclass(frozen=True)
 class FinitePresentation:
-    """Generators by name, relators as words; relators freely reduced on entry."""
+    """Generators by name, relators as syllable words, freely reduced on entry."""
 
     generators: tuple[str, ...]
-    relators: tuple[Word, ...]
+    words: tuple[Word, ...]
 
     def __post_init__(self):
         names = tuple(self.generators)
@@ -55,17 +63,21 @@ class FinitePresentation:
             raise InvariantError("duplicate generator names")
         object.__setattr__(self, "generators", names)
         g = len(names)
-        reduced = []
-        for word in self.relators:
-            word = free_reduce(word)
-            for letter in word:
-                if not 1 <= abs(letter) <= g:
-                    raise InvariantError("letter %d references no generator" % letter)
-            reduced.append(word)
-        object.__setattr__(self, "relators", tuple(reduced))
+        for word in self.words:
+            for gen, exp in word:
+                if type(gen) is not int or type(exp) is not int \
+                        or not 1 <= gen <= g:
+                    raise InvariantError("syllable %r references no generator"
+                                         % ((gen, exp),))
+        object.__setattr__(self, "words", tuple(map(free_reduce, self.words)))
+
+    @property
+    def relators(self) -> tuple[tuple[int, ...], ...]:
+        """The relators letter by letter; O(sum of |exponents|), for tests."""
+        return tuple(map(letters, self.words))
 
     def index(self, name: str) -> int:
-        """1-based letter value of a generator name."""
+        """1-based number of a generator name."""
         return self.generators.index(name) + 1
 
     @cached_property
@@ -77,12 +89,12 @@ class FinitePresentation:
     def odd_relator(self, bits) -> Word | None:
         """First relator with odd image under bits (one per generator), or None."""
         mask = sum(bit << i for i, bit in enumerate(bits))
-        return next((word for word, odd in zip(self.relators, self._odd_masks)
+        return next((word for word, odd in zip(self.words, self._odd_masks)
                      if (mask & odd).bit_count() % 2), None)
 
     def format(self) -> str:
         """Debug rendering '<g1,g2 | w1, w2>'; for logging and test goldens only."""
-        body = ", ".join(format_word(self, w) for w in self.relators)
+        body = ", ".join(format_word(self, w) for w in self.words)
         return "<%s | %s>" % (",".join(self.generators), body)
 
     def __str__(self):
@@ -90,31 +102,16 @@ class FinitePresentation:
 
 
 def format_word(pres: FinitePresentation, word) -> str:
-    """Render a word like 's1 s2 v1^2 h^-3'; the empty word is '1'."""
+    """Render a word like 's1 s2 v1^2 h^-3', a syllable at a time; 1 if empty."""
     if not word:
         return "1"
-    runs = []
-    for letter in word:
-        if runs and runs[-1][0] == letter:
-            runs[-1][1] += 1
-        else:
-            runs.append([letter, 1])
-    parts = []
-    for letter, count in runs:
-        name = pres.generators[abs(letter) - 1]
-        exp = count if letter > 0 else -count
-        parts.append(name if exp == 1 else "%s^%d" % (name, exp))
-    return " ".join(parts)
-
-
-def _power(letter: int, exp: int) -> Word:
-    if exp >= 0:
-        return (letter,) * exp
-    return (-letter,) * (-exp)
+    return " ".join(pres.generators[gen - 1] if exp == 1
+                    else "%s^%d" % (pres.generators[gen - 1], exp)
+                    for gen, exp in word)
 
 
 def _commutator(x: int, y: int) -> Word:
-    return (x, y, -x, -y)
+    return ((x, 1), (y, 1), (x, -1), (y, -1))
 
 
 @lru_cache(maxsize=None)
@@ -126,7 +123,8 @@ def fundamental_group(inv: SeifertInvariant) -> FinitePresentation:
     [s_i, h]; the cone relators s_i^{a_i} h^{b_i}; the base relators
     v_j h v_j^-1 h^{-eps}; and the section relator s_1...s_n V h^{-b} where
     V is the product of handle commutators (eps = +1) or crosscap squares
-    (eps = -1).  Commutators are spelled out as 4-letter words.
+    (eps = -1).  Every power is one syllable, so the size of the
+    presentation does not depend on b.
     """
     n = len(inv.pairs)
     g = inv.g_prime
@@ -142,18 +140,18 @@ def fundamental_group(inv: SeifertInvariant) -> FinitePresentation:
     for i in range(n):
         relators.append(_commutator(s[i], h))
     for i, (a, beta) in enumerate(inv.pairs):
-        relators.append(_power(s[i], a) + _power(h, beta))
+        relators.append(((s[i], a), (h, beta)))
     for j in range(g):
         # v h v^-1 h^-eps
-        relators.append((v[j], h, -v[j]) + _power(h, -inv.epsilon))
-    long_word: Word = s
+        relators.append(((v[j], 1), (h, 1), (v[j], -1), (h, -inv.epsilon)))
+    long_word: Word = tuple((x, 1) for x in s)
     if inv.epsilon == +1:
         for k in range(g // 2):
             long_word += _commutator(v[2 * k], v[2 * k + 1])
     else:
         for j in range(g):
-            long_word += (v[j], v[j])
-    long_word += _power(h, -inv.b)
+            long_word += ((v[j], 2),)
+    long_word += ((h, -inv.b),)
     relators.append(long_word)
     return FinitePresentation(names, tuple(relators))
 
@@ -161,10 +159,10 @@ def fundamental_group(inv: SeifertInvariant) -> FinitePresentation:
 def exponent_matrix(pres: FinitePresentation) -> list[list[int]]:
     """Abelianized relator matrix: one row per relator, one column per generator."""
     rows = []
-    for word in pres.relators:
+    for word in pres.words:
         row = [0] * len(pres.generators)
-        for letter in word:
-            row[abs(letter) - 1] += 1 if letter > 0 else -1
+        for gen, exp in word:
+            row[gen - 1] += exp
         rows.append(row)
     return rows
 
@@ -205,7 +203,11 @@ def reidemeister_schreier(pres: FinitePresentation, bits,
     generator x, named 'x.r'; the trivial gamma(0, t) is dropped, leaving
     2n - 1 generators.  Each relator is rewritten starting at both cosets,
     giving 2r relators, freely reduced but not otherwise simplified (empty
-    rewrites are kept).
+    rewrites are kept).  A syllable x^k read from coset r rewrites in closed
+    form when phi(x) = 0, to (x.r)^k, or when x = t: the coset
+    representatives are t^0 and t^1, so t^r t^k t^-r' = (t^2)^q = (t.1)^q
+    with r' = (k + r) mod 2 and q = (k + r) // 2.  Any other x with
+    phi(x) = 1 gives the alternating word x.r x.r' ..., a syllable a letter.
     """
     check_epimorphism(pres, bits)
     if transversal is None:
@@ -217,29 +219,35 @@ def reidemeister_schreier(pres: FinitePresentation, bits,
                 "transversal generator %r must have phi = 1" % transversal)
 
     names = []
-    index = {}  # (generator, coset) -> letter value
+    index = []  # index[x][r]: number of generator x.r (None for t.0)
     for x, base_name in enumerate(pres.generators):
+        index.append([None, None])
         for r in (0, 1):
             if x == t and r == 0:
                 continue
-            index[(x, r)] = len(names) + 1
+            index[x][r] = len(names) + 1
             names.append("%s.%d" % (base_name, r))
 
     relators = []
-    for word in pres.relators:
+    for word in pres.words:
         for start in (0, 1):
             out = []
             coset = start
-            for letter in word:
-                x = abs(letter) - 1
-                if letter > 0:
-                    if not (x == t and coset == 0):
-                        out.append(index[(x, coset)])
-                    coset ^= bits[x]
+            for gen, exp in word:
+                x = gen - 1
+                if not bits[x]:
+                    out.append((index[x][coset], exp))
+                elif x == t:
+                    out.append((index[t][1], (exp + coset) // 2))
+                    coset ^= exp & 1
+                elif exp > 0:
+                    for _ in range(exp):
+                        out.append((index[x][coset], 1))
+                        coset ^= 1
                 else:
-                    coset ^= bits[x]
-                    if not (x == t and coset == 0):
-                        out.append(-index[(x, coset)])
+                    for _ in range(-exp):
+                        coset ^= 1
+                        out.append((index[x][coset], -1))
             assert coset == start, "relator escaped its coset"
             relators.append(out)
     return FinitePresentation(tuple(names), tuple(relators))

@@ -1,6 +1,12 @@
-"""Helpers the tests use to check the library: exact matrix algebra and words."""
+"""Helpers the tests use to check the library: exact matrix algebra and words.
 
-from nilbu import InvariantError
+free_reduce, exponent_matrix and reidemeister_schreier are the letter-level
+reference for the syllable word code of nilbu.presentation: words are tuples
+of nonzero ints, +k the k-th generator and -k its inverse, and a presentation
+is read through its letter accessor FinitePresentation.relators.
+"""
+
+from nilbu import InvariantError, check_epimorphism
 
 
 def matmul(a, b) -> list[list[int]]:
@@ -38,5 +44,75 @@ def determinant(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def inverse_word(word) -> tuple[int, ...]:
-    return tuple(-letter for letter in reversed(word))
+def inverse_word(word):
+    """The inverse of a syllable word."""
+    return tuple((gen, -exp) for gen, exp in reversed(word))
+
+
+def free_reduce(word) -> tuple[int, ...]:
+    """Cancel adjacent x x^-1 pairs until none remain."""
+    out = []
+    for letter in word:
+        if letter == 0:
+            raise InvariantError("0 is not a letter")
+        if out and out[-1] == -letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
+
+
+def exponent_matrix(pres) -> list[list[int]]:
+    """Abelianized relator matrix: one row per relator, one column per generator."""
+    rows = []
+    for word in pres.relators:
+        row = [0] * len(pres.generators)
+        for letter in word:
+            row[abs(letter) - 1] += 1 if letter > 0 else -1
+        rows.append(row)
+    return rows
+
+
+def reidemeister_schreier(pres, bits, transversal=None):
+    """Generators and freely reduced letter relators of ker(phi), letter by letter.
+
+    The same rewriting as nilbu.reidemeister_schreier: transversal {1, t},
+    Schreier generators 'x.r' with the trivial t.0 dropped, each relator
+    rewritten from both cosets.
+    """
+    check_epimorphism(pres, bits)
+    if transversal is None:
+        t = bits.index(1)
+    else:
+        t = pres.generators.index(transversal)
+        if bits[t] != 1:
+            raise InvariantError(
+                "transversal generator %r must have phi = 1" % transversal)
+
+    names = []
+    index = {}  # (generator, coset) -> letter value
+    for x, base_name in enumerate(pres.generators):
+        for r in (0, 1):
+            if x == t and r == 0:
+                continue
+            index[(x, r)] = len(names) + 1
+            names.append("%s.%d" % (base_name, r))
+
+    relators = []
+    for word in pres.relators:
+        for start in (0, 1):
+            out = []
+            coset = start
+            for letter in word:
+                x = abs(letter) - 1
+                if letter > 0:
+                    if not (x == t and coset == 0):
+                        out.append(index[(x, coset)])
+                    coset ^= bits[x]
+                else:
+                    coset ^= bits[x]
+                    if not (x == t and coset == 0):
+                        out.append(-index[(x, coset)])
+            assert coset == start, "relator escaped its coset"
+            relators.append(free_reduce(out))
+    return tuple(names), tuple(relators)

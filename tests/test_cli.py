@@ -213,6 +213,14 @@ def test_invalid_inputs_exit_one(capsys):
     for phi, message in exact:
         code, out, err = run(capsys, "cover", "T(3)", "--phi", phi)
         assert (code, out, err) == (1, "", "error: %s\n" % message), phi
+    # the same errors at b = 10^12 cost no more than at b = 3
+    exact = [("T(1000000000000)", '{"v":[1,0],"h":3}',
+              "a bit must be 0 or 1, got 3"),
+             ("T(1000000000001)", '{"v":[0,0],"h":1}',
+              "relator v1 v2 v1^-1 v2^-1 h^-1000000000001 has odd image")]
+    for manifold, phi, message in exact:
+        code, out, err = run(capsys, "cover", manifold, "--phi", phi)
+        assert (code, out, err) == (1, "", "error: %s\n" % message), phi
     digits = "7" * 5000  # more digits than int() converts
     too_long = "error: integer of 5000 digits is too long\n"
     for args in (("h1", "T(%s)" % digits),

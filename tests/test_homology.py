@@ -83,16 +83,16 @@ def test_smith_deterministic_and_pure():
 
 
 def test_abelianization_cyclic():
-    ab = abelianization(FinitePresentation(("a",), ((1, 1, 1, 1),)))
+    ab = abelianization(FinitePresentation(("a",), (((1, 4),),)))
     assert ab.decomposition == (0, (4,))
     assert ab.is_zero_combination({"a": 4})
     assert not ab.is_zero_combination({"a": 1})
 
 
 def test_abelianization_free_and_mixed():
-    ab = abelianization(FinitePresentation(("a", "b"), ((1, 2, -1, -2),)))
+    ab = abelianization(FinitePresentation(("a", "b"), (((1, 1), (2, 1), (1, -1), (2, -1)),)))
     assert ab.decomposition == (2, ())
-    ab = abelianization(FinitePresentation(("a", "b"), ((1, 1, 2, 2),)))
+    ab = abelianization(FinitePresentation(("a", "b"), (((1, 2), (2, 2)),)))
     assert ab.decomposition == (1, (2,))
     assert ab.is_zero_combination({"a": 2, "b": 2})
 

@@ -9,24 +9,27 @@ from helpers import inverse_word
 
 
 def test_free_reduce():
-    assert free_reduce((1, 2, -2, -1, 3)) == (3,)
-    assert free_reduce((1, -2, 2, -1)) == ()
+    assert free_reduce(((1, 1), (2, 1), (2, -1), (1, -1), (3, 1))) == ((3, 1),)
+    assert free_reduce(((1, 1), (2, -1), (2, 1), (1, -1))) == ()
     assert free_reduce(()) == ()
-    with pytest.raises(InvariantError):
-        free_reduce((1, 0, 2))
+    # adjacent syllables on one generator merge, zero exponents drop
+    assert free_reduce(((1, 2), (2, 0), (1, 3), (2, 5), (2, -5))) == ((1, 5),)
 
 
 def test_inverse_word():
-    assert inverse_word((1, 2, -3)) == (3, -2, -1)
-    assert free_reduce((1, 2, -3) + inverse_word((1, 2, -3))) == ()
+    assert inverse_word(((1, 2), (2, 1), (3, -4))) == ((3, 4), (2, -1), (1, -2))
+    word = ((1, 2), (2, 1), (3, -4))
+    assert free_reduce(word + inverse_word(word)) == ()
 
 
 def test_presentation_validation():
     with pytest.raises(InvariantError):
         FinitePresentation(("a", "a"), ())
-    with pytest.raises(InvariantError):
-        FinitePresentation(("a",), ((2,),))
-    p = FinitePresentation(("a", "b"), ((1, -1, 2),))
+    for syllable in ((2, 1), (0, 1), (1, 1.0), (True, 1)):
+        with pytest.raises(InvariantError):
+            FinitePresentation(("a",), ((syllable,),))
+    p = FinitePresentation(("a", "b"), (((1, 1), (1, -1), (2, 1)),))
+    assert p.words == (((2, 1),),)
     assert p.relators == ((2,),)
     assert p.index("b") == 2
 
@@ -34,8 +37,8 @@ def test_presentation_validation():
 def test_format_word():
     p = FinitePresentation(("s1", "h"), ())
     assert format_word(p, ()) == "1"
-    assert format_word(p, (1, 1, 2, -2, -2)) == "s1^2 h h^-2"
-    assert format_word(p, (-1,)) == "s1^-1"
+    assert format_word(p, ((1, 2), (2, 1), (2, -2))) == "s1^2 h h^-2"
+    assert format_word(p, ((1, -1),)) == "s1^-1"
 
 
 def test_fundamental_group_torus_bundle():
@@ -74,7 +77,7 @@ def test_check_epimorphism():
                        match="^one bit per generator required$"):
         check_epimorphism(p, (1, 0))  # no bit for h
     # values are never reduced mod 2: only the ints 0 and 1 are bits
-    q = FinitePresentation(("a",), ((1, 1),))
+    q = FinitePresentation(("a",), (((1, 2),),))
     assert check_epimorphism(q, (1,)) is None
     for value in (3, True, 1.0, "1", -1, None):
         with pytest.raises(NotAHomomorphism,
@@ -85,9 +88,10 @@ def test_check_epimorphism():
 def test_odd_relator_reads_exponent_parity():
     p = fundamental_group(NilManifold("T", 3).seifert())
     assert p.odd_relator((1, 0, 0)) is None
-    assert p.odd_relator((0, 0, 1)) == p.relators[2]  # h^-3 is odd
-    q = FinitePresentation(("a", "b"), ((1, 2, 1, -2, 1), (2, 2)))
-    assert q.odd_relator((1, 0)) == q.relators[0]  # a three times
+    assert p.odd_relator((0, 0, 1)) == p.words[2]  # h^-3 is odd
+    q = FinitePresentation(("a", "b"), (((1, 1), (2, 1), (1, 1), (2, -1), (1, 1)),
+                                        ((2, 2),)))
+    assert q.odd_relator((1, 0)) == q.words[0]  # a three times
     assert q.odd_relator((0, 1)) is None  # b twice in each relator
 
 
@@ -100,7 +104,7 @@ def test_rs_free_group():
 
 def test_rs_cyclic_four():
     # ker(Z4 -> Z2) = Z2, rewritten relators are a.1^2 from both cosets
-    p = FinitePresentation(("a",), ((1, 1, 1, 1),))
+    p = FinitePresentation(("a",), (((1, 4),),))
     q = reidemeister_schreier(p, (1,))
     assert q.generators == ("a.1",)
     assert q.relators == ((1, 1), (1, 1))
@@ -109,7 +113,7 @@ def test_rs_cyclic_four():
 
 
 def test_rs_rank_two_free_abelian():
-    p = FinitePresentation(("a", "b"), ((1, 2, -1, -2),))
+    p = FinitePresentation(("a", "b"), (((1, 1), (2, 1), (1, -1), (2, -1)),))
     q = reidemeister_schreier(p, (1, 0))
     assert q.generators == ("a.1", "b.0", "b.1")
     assert q.relators == ((3, -2), (1, 2, -1, -3))
