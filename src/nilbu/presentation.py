@@ -63,13 +63,16 @@ class FinitePresentation:
             raise InvariantError("duplicate generator names")
         object.__setattr__(self, "generators", names)
         g = len(names)
+        reduced = []
         for word in self.words:
+            word = tuple(word)
             for gen, exp in word:
                 if type(gen) is not int or type(exp) is not int \
                         or not 1 <= gen <= g:
                     raise InvariantError("syllable %r references no generator"
                                          % ((gen, exp),))
-        object.__setattr__(self, "words", tuple(map(free_reduce, self.words)))
+            reduced.append(free_reduce(word))
+        object.__setattr__(self, "words", tuple(reduced))
 
     @property
     def relators(self) -> tuple[tuple[int, ...], ...]:
