@@ -8,7 +8,9 @@ runs.  Exit codes: 0 success, 1 invalid input, 2 verification mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import re
 import sys
 
 from .bu_index import index_report, z2_index
@@ -46,11 +48,28 @@ def _emit(args, lines, obj) -> None:
             print(line)
 
 
+_DECIMAL_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def _decimal(text: str) -> int:
+    """An integer in ASCII decimal digits, for the --phi index and --b-max.
+
+    int() alone also takes other scripts' digits and underscores.  The error
+    text is the one argparse gives for type=int.
+    """
+    if _DECIMAL_RE.fullmatch(text.strip()):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+
+
 def _parse_phi(m: NilManifold, text: str):
     text = text.strip()
     try:
-        idx = int(text)
-    except ValueError:
+        idx = _decimal(text)
+    except argparse.ArgumentTypeError:
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as err:
@@ -263,21 +282,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", parents=[common],
                        help="the family table: c, d, b_min, plus entries")
-    p.add_argument("--b-max", type=int, default=16,
+    p.add_argument("--b-max", type=_decimal, default=16,
                    help="entries run b_min..b_min+k per family (default 16)")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", parents=[common],
                        help="full cross-check sweep (oracle, partitions, "
                             "indices, involution diagrams)")
-    p.add_argument("--b-max", type=int, default=16,
+    p.add_argument("--b-max", type=_decimal, default=16,
                    help="sweep b_min..b_min+k per family (default 16)")
     p.set_defaults(func=cmd_verify)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves a parser as it was, so one serves every call to main;
+    # built on the first call rather than at import, so a one-shot process
+    # pays nothing extra
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "b_max", 0) < 0:
         parser.error("argument --b-max: must be >= 0, got %d" % args.b_max)

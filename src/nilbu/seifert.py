@@ -298,9 +298,12 @@ def sweep(depth: int = 16):
             yield NilManifold(family, b, betas)
 
 
-_SF_RE = re.compile(r"^SF\((-?\d+);([+-]?1);(\d+);((?:\(-?\d+,-?\d+\))*)\)$")
-_PAIR_RE = re.compile(r"\((-?\d+),(-?\d+)\)")
-_FAMILY_RE = re.compile(r"^([A-Za-z0-9]+)\((-?\d+)(?:;(-?\d+(?:,-?\d+)*))?\)$")
+# re.ASCII: \d would also match other scripts' digits, which int() converts
+_SF_RE = re.compile(r"^SF\((-?\d+);([+-]?1);(\d+);((?:\(-?\d+,-?\d+\))*)\)$",
+                    re.ASCII)
+_PAIR_RE = re.compile(r"\((-?\d+),(-?\d+)\)", re.ASCII)
+_FAMILY_RE = re.compile(r"^([A-Za-z0-9]+)\((-?\d+)(?:;(-?\d+(?:,-?\d+)*))?\)$",
+                        re.ASCII)
 
 
 def _int(digits: str) -> int:

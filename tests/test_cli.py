@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import nilbu.coverings
+from nilbu import cli
 from nilbu.cli import main
 
 
@@ -233,6 +237,16 @@ def test_invalid_inputs_exit_one(capsys):
         code, out, err = run(capsys, command, "333(0;1,1,1)", "--phi", "0")
         assert (code, out) == (1, "")
         assert err == "error: 333(0;1,1,1) has no epimorphism onto Z2\n"
+    # other scripts' digits and underscores are not read as ASCII digits
+    for args in (("h1", "T(\u0663)"), ("h1", "T(1_0)"),
+                 ("classify", "SF(0; +1; 0; (2,1)(3,1)(6,\u0665))"),
+                 ("epis", "236(0;1,\u0665)"),
+                 ("cover", "T(2)", "--phi", "0_1"),
+                 ("cover", "T(2)", "--phi", "\u0661"),
+                 ("index", "T(2)", "--phi", "\u0661")):
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (1, ""), args
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), args
 
 
 def test_usage_errors_exit_one(capsys):
@@ -250,3 +264,68 @@ def test_usage_errors_exit_one(capsys):
         out = capsys.readouterr()
         assert out.out == ""
         assert "argument --b-max: must be >= 0, got -1" in out.err
+    for command in ("verify", "table"):
+        for b_max in ("0_0", "\u0663", "1_6"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--b-max", b_max])
+            assert exc.value.code == 1
+            out = capsys.readouterr()
+            assert out.out == ""
+            errors = [line for line in out.err.splitlines() if "error:" in line]
+            assert errors == ["nilbu %s: error: argument --b-max: invalid int "
+                              "value: %r" % (command, b_max)]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_reused_parser_leaks_no_state(capsys):
+    query = ["cover", "22(0)", "--phi", "0", "--format", "json"]
+    text_query = ["h1", "T(1)"]
+    first = _outcome(capsys, query)
+    first_text = _outcome(capsys, text_query)
+    assert first[0] == 0 and first_text[0] == 0
+    for argv, code in ((["cover", "22(0)"], 1),  # --phi is required
+                       (["verify", "--b-max", "-1"], 1),
+                       (["--help"], 0),
+                       (["h1", "--help"], 0),
+                       (["h1", "nonsense", "--format", "json"], 1),  # NilError
+                       (["frobnicate"], 1)):
+        assert _outcome(capsys, argv)[0] == code, argv
+    assert _outcome(capsys, query) == first
+    assert _outcome(capsys, text_query) == first_text
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    calls = []
+    real = cli.build_parser
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for argv in (["h1", "T(1)"], ["classify", "T(2)"], ["epis", "22(0)"]):
+            assert main(argv) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(calls) == 1
+
+
+def test_import_builds_no_parser():
+    # a one-shot process must not pay for a parser at import
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import nilbu.cli; "
+            "print(nilbu.cli._parser.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out == "0\n"
