@@ -298,12 +298,14 @@ def sweep(depth: int = 16):
             yield NilManifold(family, b, betas)
 
 
-# re.ASCII: \d would also match other scripts' digits, which int() converts
-_SF_RE = re.compile(r"^SF\((-?\d+);([+-]?1);(\d+);((?:\(-?\d+,-?\d+\))*)\)$",
-                    re.ASCII)
-_PAIR_RE = re.compile(r"\((-?\d+),(-?\d+)\)", re.ASCII)
-_FAMILY_RE = re.compile(r"^([A-Za-z0-9]+)\((-?\d+)(?:;(-?\d+(?:,-?\d+)*))?\)$",
-                        re.ASCII)
+# whitespace may stand between tokens, never inside one; [0-9], because \d
+# would also match other scripts' digits, which int() converts
+_INT = r"\s*(-?[0-9]+)\s*"
+_PAIR_RE = re.compile(r"\(%s,%s\)" % (_INT, _INT))
+_SF_RE = re.compile(r"\s*SF\s*\(%s;\s*([+-]?1)\s*;\s*([0-9]+)\s*;((?:\s*%s)*)\s*\)\s*"
+                    % (_INT, _PAIR_RE.pattern))
+_FAMILY_RE = re.compile(r"\s*([A-Za-z0-9]+)\s*\(%s(?:;((?:%s,)*%s))?\)\s*"
+                        % (_INT, _INT, _INT))
 
 
 def _int(digits: str) -> int:
@@ -315,9 +317,8 @@ def _int(digits: str) -> int:
 
 
 def parse_seifert(text: str) -> SeifertInvariant:
-    """Parse 'SF(b; eps; g'; (a1,b1)(a2,b2)...)', whitespace-insensitive; normalizes."""
-    compact = re.sub(r"\s+", "", text)
-    m = _SF_RE.match(compact)
+    """Parse 'SF(b; eps; g'; (a1,b1)(a2,b2)...)', spaces between tokens; normalizes."""
+    m = _SF_RE.fullmatch(text)
     if not m:
         raise ParseError("not a Seifert invariant encoding: %r" % text)
     b, eps, g = map(_int, m.group(1, 2, 3))
@@ -330,12 +331,11 @@ def parse_seifert(text: str) -> SeifertInvariant:
 
 def parse_family(text: str) -> NilManifold:
     """Parse a family encoding like 'T(3)', '236(0;1,5)', '333(-1;1,2,2)'."""
-    compact = re.sub(r"\s+", "", text)
-    m = _FAMILY_RE.match(compact)
+    m = _FAMILY_RE.fullmatch(text)
     if not m or m.group(1) not in FAMILIES:
         raise ParseError("not a family encoding: %r" % text)
     family, b = m.group(1), _int(m.group(2))
-    betas = tuple(map(_int, m.group(3).split(","))) if m.group(3) else ()
+    betas = tuple(map(_int, re.findall("-?[0-9]+", m.group(3) or "")))
     try:
         return NilManifold(family, b, betas)
     except InvariantError as err:
@@ -344,7 +344,6 @@ def parse_family(text: str) -> NilManifold:
 
 def parse_manifold(text: str) -> NilManifold:
     """Parse either encoding; SF(...) input is classified (so must be Nil, e > 0)."""
-    compact = re.sub(r"\s+", "", text)
-    if compact.startswith("SF("):
+    if re.match(r"\s*SF\s*\(", text):
         return classify(parse_seifert(text))
     return parse_family(text)

@@ -247,6 +247,13 @@ def test_invalid_inputs_exit_one(capsys):
         code, out, err = run(capsys, *args)
         assert (code, out) == (1, ""), args
         assert len(err.splitlines()) == 1 and err.startswith("error: "), args
+    # whitespace inside a number splits it instead of being dropped
+    for args in (("h1", "T(1 2)"), ("h1", "T(1 2)"),
+                 ("classify", "SF(0; +1; 0; (2,1)(3,1)(6,5 0))"),
+                 ("epis", "236(0;1,5 0)")):
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (1, ""), args
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), args
 
 
 def test_usage_errors_exit_one(capsys):

@@ -25,11 +25,24 @@ LOWEST = list(sweep(0))  # each family row at its b_min
 # Devanagari) and underscores, which int() would also read
 DIGITS = "0123456789" + "١٣۷०" + "_"
 
+# ASCII and other whitespace, which may stand between tokens but not
+# inside a number
+SPACES = st.sampled_from((" ", "\t", "\n", "\u2002", "\u3000", "  "))
+
+
+@st.composite
+def split_numbers(draw):
+    digits = str(draw(st.integers(10, 10 ** 12)))
+    cut = draw(st.integers(1, len(digits) - 1))
+    return digits[:cut] + draw(SPACES) + digits[cut:]
+
+
 numbers = st.one_of(
     st.integers(-3, 40).map(str),
     st.integers(-10 ** 25, 10 ** 25).map(str),
     st.text(st.sampled_from(DIGITS), min_size=1, max_size=6),
     st.just("7" * 5000),  # more digits than int() converts
+    split_numbers(),
 )
 
 
@@ -93,3 +106,19 @@ def test_any_argv_exits_cleanly(argv):
     assert code in (0, 1, 2), (argv, code)
     if code == 1:
         assert "error:" in err.splitlines()[-1], (argv, err)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(LOWEST), split_numbers(), st.booleans())
+def test_split_number_exits_one(low, split, in_b):
+    # a number split by whitespace is an error, wherever it stands
+    betas = list(map(str, low.betas))
+    if in_b or not betas:
+        text = "%s(%s%s)" % (low.family, split,
+                             ";" + ",".join(betas) if betas else "")
+    else:
+        betas[-1] = split
+        text = "%s(%d;%s)" % (low.family, low.b, ",".join(betas))
+    code, err = _run(["h1", text])
+    assert code == 1 and len(err.splitlines()) == 1, (text, err)
+    assert err.startswith("error: "), (text, err)
