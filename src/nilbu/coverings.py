@@ -1,12 +1,12 @@
 """Double covers of Nil manifolds and the classification of free involutions.
 
-double_cover computes the Seifert data of the cover cut out by an
-epimorphism phi: pi_1 -> Z2, family by family, in closed form.  verify_cover
-is the independent oracle: it rewrites the fundamental group to the index-2
-subgroup presentation (Reidemeister-Schreier), abelianizes with the Smith
-machinery and compares against H1 of the claimed cover, together with the
-Euler number relation e(cover) = 2^(1 - 2 phi(h)) * e(base), checked on the
-integer pairs (c, lcm) with e = c / lcm.  quotients_of inverts double_cover
+double_cover computes the Seifert data of the cover cut out by an epimorphism
+phi: pi_1 -> Z2 in closed form per family, and asserts e(cover) =
+2^(1 - 2 phi(h)) e(base) on the integers (c, lcm), e = c / lcm, of the family
+rows.  verify_cover, the independent oracle, rewrites the fundamental group
+to the index-2 subgroup presentation (Reidemeister-Schreier), compares its
+invariant factors with H1 of the claimed cover and checks the Euler relation
+on (c, lcm) from the Seifert invariants.  quotients_of inverts double_cover
 over the finitely many candidate bases, which reproduces the known involution
 diagrams; those diagrams are also transcribed here (expected_quotient_diagram)
 so the two routes can be compared mechanically.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import bu_index
 from .epimorphisms import Z2Char, equivalence_classes, validate_char
-from .homology import abelianization, h1
+from .homology import abelian_invariants, h1
 from .presentation import fundamental_group, reidemeister_schreier
 from .seifert import ROWS, NilManifold, cd_invariants
 
@@ -86,15 +86,18 @@ def double_cover(m: NilManifold, phi: Z2Char) -> NilManifold:
             "333", (b + b1 + b2 + b3 - 6) // 2, (3 - b3, 3 - b2, 3 - b1))
     else:
         raise AssertionError("unknown family %r" % (fam,))
-    assert _euler_scales(m, phi, cover)
+    assert _euler_scales(phi.h, *_row_euler(m), *_row_euler(cover))
     return cover
 
 
-def _euler_scales(m: NilManifold, phi: Z2Char, cover: NilManifold) -> bool:
-    # e(cover) = 2^(1 - 2 phi(h)) e(m), cross-multiplied: e = c / lcm
-    c_m, _, l_m = cd_invariants(m.seifert())
-    c, _, l = cd_invariants(cover.seifert())
-    return 2 ** phi.h * c * l_m == 2 ** (1 - phi.h) * c_m * l
+def _row_euler(m: NilManifold) -> tuple[int, int]:
+    # (c, lcm) with e = c / lcm, read from m's family row
+    return m.b * m.row.lcm + m.row.c0, m.row.lcm
+
+
+def _euler_scales(h: int, c_m: int, l_m: int, c: int, l: int) -> bool:
+    # e(cover) = 2^(1 - 2h) e(m) on integer pairs, cross-multiplied: e = c / l
+    return 2 ** h * c * l_m == 2 ** (1 - h) * c_m * l
 
 
 def verify_cover(m: NilManifold, phi: Z2Char, claimed: NilManifold) -> bool:
@@ -102,15 +105,16 @@ def verify_cover(m: NilManifold, phi: Z2Char, claimed: NilManifold) -> bool:
 
     Rewrites pi_1(m) to the kernel presentation, abelianizes, and compares
     invariant factors with h1(claimed); also checks the Euler number
-    relation.  True iff both hold.
+    relation on the Seifert invariants' (c, lcm).  True iff both hold.
     """
     validate_char(m, phi)
     # with t = h the syllable h^-b rewrites to one syllable, not b of them
     sub = reidemeister_schreier(fundamental_group(m.seifert()), phi.bits,
                                 transversal="h" if phi.h else None)
-    computed = abelianization(sub)
-    return (computed.decomposition == h1(claimed).decomposition
-            and _euler_scales(m, phi, claimed))
+    c_m, _, l_m = cd_invariants(m.seifert())
+    c, _, l = cd_invariants(claimed.seifert())
+    return (abelian_invariants(sub) == h1(claimed).decomposition
+            and _euler_scales(phi.h, c_m, l_m, c, l))
 
 
 def quotients_of(m: NilManifold) -> tuple[CoveringDescriptor, ...]:
@@ -120,7 +124,7 @@ def quotients_of(m: NilManifold) -> tuple[CoveringDescriptor, ...]:
     b*lcm + c0 = k c_m lcm / (2 l_m) for an integer b >= b_min.  Each class of
     each candidate is filtered through double_cover.  Sorted by base encoding.
     """
-    c_m, _, l_m = cd_invariants(m.seifert())
+    c_m, l_m = _row_euler(m)
     found = []
     for (family, betas), row in ROWS.items():
         for k in (1, 4):

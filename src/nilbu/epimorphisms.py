@@ -6,16 +6,16 @@ checked when it is made (char_for, with_bits and enumerate_epis all build
 through that check), so a layer given one only confirms it is a character of
 its manifold.  Two epimorphisms determine equivalent double covers (the same
 free involution up to conjugacy) when one is carried to the other by one of
-five induced automorphism moves; the orbit closure under those moves is
-computed here by plain breadth-first search.  All orderings are
-deterministic: characters are compared by their bit tuple.
+five induced automorphism moves; the orbit closure under those moves is a
+breadth-first search over bit tuples among the checked epimorphisms.  All
+orderings are deterministic: characters are compared by their bit tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from .presentation import check_epimorphism, fundamental_group
 from .seifert import FAMILIES, NilError, NilManifold
@@ -148,9 +148,14 @@ def apply_move(phi: Z2Char, move: MoveSpec, m: NilManifold) -> Z2Char:
     always again an epimorphism (with_bits checks it).
     """
     validate_char(m, phi)
-    s, v = list(phi.s), list(phi.v)
+    return phi.with_bits(_move_bits(phi.bits, move, m))
+
+
+def _move_bits(bits, move: MoveSpec, m: NilManifold) -> tuple[int, ...]:
+    n_s = _shape(m.family)[0]
+    s, v, h = list(bits[:n_s]), list(bits[n_s:-1]), bits[-1]
     if isinstance(move, FiberFlip):
-        if phi.h != 1:
+        if h != 1:
             raise MoveNotApplicable("v-flips require phi(h) = 1")
         seen = set()
         for j in move.v_indices:
@@ -159,7 +164,7 @@ def apply_move(phi: Z2Char, move: MoveSpec, m: NilManifold) -> Z2Char:
             seen.add(j)
             v[j - 1] ^= 1
     elif isinstance(move, ConeSwap):
-        pairs = m.seifert().pairs
+        pairs = m.row.pairs
         n = len(pairs)
         i, j = move.i, move.j
         if not (1 <= i <= n and 1 <= j <= n and i != j):
@@ -195,27 +200,18 @@ def apply_move(phi: Z2Char, move: MoveSpec, m: NilManifold) -> Z2Char:
         v[0] ^= 1
     else:
         raise MoveNotApplicable("unknown move %r" % (move,))
-    return phi.with_bits(s + v + [phi.h])
+    return tuple(s + v + [h])
 
 
 def available_moves(m: NilManifold) -> tuple[MoveSpec, ...]:
     """Generating set of moves for m's family (single flips and swaps)."""
-    inv = m.seifert()
-    moves: list[MoveSpec] = []
-    g = inv.g_prime
-    moves.extend(FiberFlip((j,)) for j in range(1, g + 1))
-    n = len(inv.pairs)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if inv.pairs[i - 1] == inv.pairs[j - 1]:
-                moves.append(ConeSwap(i, j))
-    if m.family == "T":
-        moves.append(TorusShear(1))
-        moves.append(TorusShear(2))
-    if m.family == "K":
-        moves.append(KleinSwap())
-    if m.family == "22":
-        moves.append(ConeSlide())
+    _, g, _, _ = FAMILIES[m.family]
+    pairs = m.row.pairs
+    moves: list[MoveSpec] = [FiberFlip((j,)) for j in range(1, g + 1)]
+    moves += [ConeSwap(i + 1, j + 1) for i, j in
+              combinations(range(len(pairs)), 2) if pairs[i] == pairs[j]]
+    moves += {"T": [TorusShear(1), TorusShear(2)], "K": [KleinSwap()],
+              "22": [ConeSlide()]}.get(m.family, [])
     return tuple(moves)
 
 
@@ -249,32 +245,33 @@ class EpiClassPartition:
 def equivalence_classes(m: NilManifold) -> EpiClassPartition:
     """Partition of enumerate_epis(m) into move-orbits.
 
-    Breadth-first closure under the family's available moves; classes are
-    ordered by their representatives.
+    Breadth-first closure over bit tuples; an image outside enumerate_epis(m)
+    raises InvalidCharacter.  Classes are ordered by their representatives.
     """
-    epis = enumerate_epis(m)
+    epis = {phi.bits: phi for phi in enumerate_epis(m)}
     moves = available_moves(m)
     seen: set[tuple[int, ...]] = set()
     classes = []
-    for start in epis:
-        if start.bits in seen:
+    for start in epis:  # least first, so each starts its orbit's class
+        if start in seen:
             continue
-        orbit = {start.bits: start}
+        orbit = {start}
         frontier = [start]
         while frontier:
-            phi = frontier.pop()
+            bits = frontier.pop()
             for move in moves:
                 try:
-                    image = apply_move(phi, move, m)
+                    image = _move_bits(bits, move, m)
                 except MoveNotApplicable:
                     continue
-                if image.bits not in orbit:
-                    orbit[image.bits] = image
+                if image not in epis:
+                    raise InvalidCharacter("%r carries %r of %s to %r"
+                                           % (move, bits, m.encode(), image))
+                if image not in orbit:
+                    orbit.add(image)
                     frontier.append(image)
-        seen.update(orbit)
-        members = tuple(sorted(orbit.values(), key=lambda c: c.bits))
-        classes.append(EpiClass(members))
-    classes.sort(key=lambda c: c.representative.bits)
+        seen |= orbit
+        classes.append(EpiClass(tuple(epis[bits] for bits in sorted(orbit))))
     return EpiClassPartition(m, tuple(classes))
 
 

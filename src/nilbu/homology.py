@@ -1,11 +1,11 @@
 """Exact integer linear algebra and first homology of the Nil families.
 
 Matrices are plain lists of lists of Python ints, so arithmetic is exact and
-unbounded (no overflow to report, ever).  The Smith normal form here returns
-the unimodular transforms, which the abelianization uses to express generator
-images in the invariant-factor basis; everything downstream (epimorphism
-counts, the torsion-killing test behind the index-1 criterion, the covering
-oracle) reads off this data.
+unbounded (no overflow to report, ever).  The Smith normal form returns the
+unimodular transforms, which the abelianization uses to express generator
+images in the invariant-factor basis for the epimorphism counts and the
+index-1 torsion test; the covering oracle compares invariant factors only and
+runs the same elimination without transforms (abelian_invariants).
 """
 
 from __future__ import annotations
@@ -30,20 +30,24 @@ def smith_normal_form(m):
     |entry| of the working submatrix with ties broken row-major, which makes
     S, U, V deterministic for a given input.
     """
+    return _smith(m, True)
+
+
+def _smith(m, transforms: bool):
+    # without transforms U has empty rows and V none: the same loop does no
+    # work on them and S comes out the same (Cohen 1993, Alg. 2.4.14)
     A = [list(row) for row in m]
     nr = len(A)
     nc = len(A[0]) if nr else 0
     if any(len(row) != nc for row in A):
         raise InvariantError("ragged matrix")
-    U = identity(nr)
-    V = identity(nc)
+    U = identity(nr) if transforms else [[] for _ in A]
+    V = identity(nc) if transforms else []
 
     def row_combine(i, j, q):
         # row_i -= q * row_j
-        for k in range(nc):
-            A[i][k] -= q * A[j][k]
-        for k in range(nr):
-            U[i][k] -= q * U[j][k]
+        A[i] = [x - q * y for x, y in zip(A[i], A[j])]
+        U[i] = [x - q * y for x, y in zip(U[i], U[j])]
 
     def col_combine(j, i, q):
         # col_j -= q * col_i
@@ -56,20 +60,19 @@ def smith_normal_form(m):
     while t < min(nr, nc):
         pivot = None
         for i in range(t, nr):
-            for j in range(t, nc):
-                x = A[i][j]
-                if x != 0 and (pivot is None or abs(x) < abs(A[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+            for j, x in enumerate(A[i][t:], t):
+                if x and (pivot is None or abs(x) < pivot[0]):
+                    pivot = (abs(x), i, j)
         if pivot is None:
             break
-        if pivot[0] != t:
-            A[t], A[pivot[0]] = A[pivot[0]], A[t]
-            U[t], U[pivot[0]] = U[pivot[0]], U[t]
         if pivot[1] != t:
+            A[t], A[pivot[1]] = A[pivot[1]], A[t]
+            U[t], U[pivot[1]] = U[pivot[1]], U[t]
+        if pivot[2] != t:
             for row in A:
-                row[t], row[pivot[1]] = row[pivot[1]], row[t]
+                row[t], row[pivot[2]] = row[pivot[2]], row[t]
             for row in V:
-                row[t], row[pivot[1]] = row[pivot[1]], row[t]
+                row[t], row[pivot[2]] = row[pivot[2]], row[t]
         p = A[t][t]
         # knock column/row entries down; any remainder is strictly smaller
         # than the pivot, so looping back makes progress
@@ -90,9 +93,9 @@ def smith_normal_form(m):
         for j in range(t + 1, nc):
             if A[t][j]:
                 col_combine(j, t, A[t][j] // p)
-        stray = None
-        for i in range(t + 1, nr):
-            if any(A[i][j] % p != 0 for j in range(t + 1, nc)):
+        stray = None  # a unit pivot divides everything
+        for i in range(t + 1, nr if abs(p) > 1 else t + 1):
+            if any(x % p for x in A[i][t + 1:]):
                 stray = i
                 break
         if stray is not None:
@@ -100,10 +103,8 @@ def smith_normal_form(m):
             row_combine(t, stray, -1)
             continue
         if p < 0:
-            for k in range(nc):
-                A[t][k] = -A[t][k]
-            for k in range(nr):
-                U[t][k] = -U[t][k]
+            A[t] = [-x for x in A[t]]
+            U[t] = [-x for x in U[t]]
         t += 1
     return A, U, V
 
@@ -154,21 +155,28 @@ def abelianization(pres: FinitePresentation) -> AbelianGroup:
     column per relator); if S = U A V is its Smith form then generator j has
     decomposition coordinates given by column j of U.
     """
-    R = exponent_matrix(pres)
-    g = len(pres.generators)
-    r = len(R)
-    A = [[R[k][j] for k in range(r)] for j in range(g)]
-    S, U, _ = smith_normal_form(A)
-    orders = [S[i][i] if i < min(g, r) else 0 for i in range(g)]
-    free_pos = [i for i in range(g) if orders[i] == 0]
-    tor_pos = [i for i in range(g) if orders[i] >= 2]
+    orders, U = _orders(pres, True)
+    free_pos = [i for i, d in enumerate(orders) if d == 0]
+    tor_pos = [i for i, d in enumerate(orders) if d >= 2]
+    gen_images = {name: tuple(U[i][j] for i in free_pos)
+                  + tuple(U[i][j] % orders[i] for i in tor_pos)
+                  for j, name in enumerate(pres.generators)}
     torsion = tuple(orders[i] for i in tor_pos)
-    gen_images = {}
-    for j, name in enumerate(pres.generators):
-        free_part = tuple(U[i][j] for i in free_pos)
-        tor_part = tuple(U[i][j] % orders[i] for i in tor_pos)
-        gen_images[name] = free_part + tor_part
     return AbelianGroup(len(free_pos), torsion, gen_images)
+
+
+def abelian_invariants(pres: FinitePresentation) -> tuple[int, tuple[int, ...]]:
+    """abelianization(pres).decomposition, by the Smith pass without U, V."""
+    orders, _ = _orders(pres, False)
+    return orders.count(0), tuple(d for d in orders if d >= 2)
+
+
+def _orders(pres: FinitePresentation, transforms: bool):
+    # the order of each decomposition coordinate (0 = free), and U
+    R = exponent_matrix(pres)
+    A = [[row[j] for row in R] for j in range(len(pres.generators))]
+    S, U, _ = smith_normal_form(A) if transforms else _smith(A, False)
+    return [row[i] if i < len(row) else 0 for i, row in enumerate(S)], U
 
 
 @lru_cache(maxsize=None)
