@@ -1,12 +1,16 @@
-"""Helpers the tests use to check the library: exact matrix algebra and words.
+"""Helpers the tests use to check the library: matrix algebra, words, orbits.
 
 free_reduce, exponent_matrix and reidemeister_schreier are the letter-level
 reference for the syllable word code of nilbu.presentation: words are tuples
 of nonzero ints, +k the k-th generator and -k its inverse, and a presentation
 is read through its letter accessor FinitePresentation.relators.
+equivalence_classes is the reference for the orbit closure over bit tuples:
+it closes orbits of checked characters through apply_move.
 """
 
-from nilbu import InvariantError, check_epimorphism
+from nilbu import (EpiClass, EpiClassPartition, InvariantError,
+                   MoveNotApplicable, apply_move, available_moves,
+                   check_epimorphism, enumerate_epis)
 
 
 def matmul(a, b) -> list[list[int]]:
@@ -116,3 +120,36 @@ def reidemeister_schreier(pres, bits, transversal=None):
             assert coset == start, "relator escaped its coset"
             relators.append(free_reduce(out))
     return tuple(names), tuple(relators)
+
+
+def equivalence_classes(m) -> EpiClassPartition:
+    """Partition of enumerate_epis(m) into move-orbits, one Z2Char per image.
+
+    Breadth-first closure under the family's available moves through
+    apply_move, which checks every image it builds; classes are ordered by
+    their representatives.
+    """
+    epis = enumerate_epis(m)
+    moves = available_moves(m)
+    seen = set()
+    classes = []
+    for start in epis:
+        if start.bits in seen:
+            continue
+        orbit = {start.bits: start}
+        frontier = [start]
+        while frontier:
+            phi = frontier.pop()
+            for move in moves:
+                try:
+                    image = apply_move(phi, move, m)
+                except MoveNotApplicable:
+                    continue
+                if image.bits not in orbit:
+                    orbit[image.bits] = image
+                    frontier.append(image)
+        seen.update(orbit)
+        members = tuple(sorted(orbit.values(), key=lambda c: c.bits))
+        classes.append(EpiClass(members))
+    classes.sort(key=lambda c: c.representative.bits)
+    return EpiClassPartition(m, tuple(classes))

@@ -3,13 +3,15 @@
 Each matrix is checked three ways: S = U * A * V with U and V unimodular,
 S diagonal with the divisibility chain d_1 | d_2 | ... and zeros last, and
 the diagonal against sympy's Smith normal form as an independent route.
-A list of lists has no column count when it has no rows, so a 0 x N matrix
-is the empty list; an N x 0 matrix is N empty rows.
+The elimination run without transforms, which the covering oracle uses,
+must give the same S.  A list of lists has no column count when it has no
+rows, so a 0 x N matrix is the empty list; an N x 0 matrix is N empty rows.
 """
 
 import pytest
 
-from nilbu import smith_normal_form
+from nilbu import FinitePresentation, abelianization, smith_normal_form
+from nilbu.homology import _smith, abelian_invariants
 
 from helpers import determinant, matmul
 
@@ -64,7 +66,7 @@ def _sympy_diagonal(m):
     return nonzero + [0] * (len(diag) - len(nonzero))
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(matrices)
 def test_smith_normal_form_properties(m):
     original = [row[:] for row in m]
@@ -82,3 +84,21 @@ def test_smith_normal_form_properties(m):
     assert diag == nonzero + [0] * (len(diag) - len(nonzero))
     assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
     assert diag == _sympy_diagonal(m)
+    assert _smith(m, False) == (S, [[] for _ in m], [])
+    assert m == original
+
+
+@st.composite
+def presentations(draw):
+    g = draw(st.integers(1, 5))
+    exponents = st.one_of(st.integers(-4, 4), LARGE)
+    word = st.lists(st.tuples(st.integers(1, g), exponents), max_size=8)
+    words = draw(st.lists(word.map(tuple), max_size=6))
+    return FinitePresentation(tuple("x%d" % k for k in range(1, g + 1)),
+                              tuple(words))
+
+
+@settings(max_examples=40, deadline=None)
+@given(presentations())
+def test_invariants_without_transforms_match_abelianization(pres):
+    assert abelian_invariants(pres) == abelianization(pres).decomposition
