@@ -302,8 +302,8 @@ def sweep(depth: int = 16):
 # would also match other scripts' digits, which int() converts
 _INT = r"\s*(-?[0-9]+)\s*"
 _PAIR_RE = re.compile(r"\(%s,%s\)" % (_INT, _INT))
-_SF_RE = re.compile(r"\s*SF\s*\(%s;\s*([+-]?1)\s*;\s*([0-9]+)\s*;((?:\s*%s)*)\s*\)\s*"
-                    % (_INT, _PAIR_RE.pattern))
+_SF_RE = re.compile(r"\s*SF\s*\(%s;\s*([+-]?1)\s*;\s*([0-9]+)\s*;"
+                    r"((?:\s*%s)*)\s*\)\s*" % (_INT, _PAIR_RE.pattern))
 _FAMILY_RE = re.compile(r"\s*([A-Za-z0-9]+)\s*\(%s(?:;((?:%s,)*%s))?\)\s*"
                         % (_INT, _INT, _INT))
 
