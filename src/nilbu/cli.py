@@ -24,8 +24,12 @@ from .verify import verify_sweep
 
 
 class _Parser(argparse.ArgumentParser):
-    # invalid input exits 1, per the interface contract (argparse default is 2)
+    # invalid input exits 1, per the interface contract (argparse default is 2);
+    # the message echoes argv, so its control characters are escaped as repr
+    # does, which keeps the error on one line
     def error(self, message):
+        message = "".join(ch if ch.isprintable() else repr(ch)[1:-1]
+                          for ch in message)
         self.print_usage(sys.stderr)
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 

@@ -10,6 +10,12 @@ on (c, lcm) from the Seifert invariants.  quotients_of inverts double_cover
 over the finitely many candidate bases, which reproduces the known involution
 diagrams; those diagrams are also transcribed here (expected_quotient_diagram)
 so the two routes can be compared mechanically.
+
+The search is cut by two exact rules before double_cover decides.  A base
+row must have lcm(a_i) equal to l_m or 2 l_m, since the preimages of a fibre
+of order a have order a or a/2; and a class is tried only with the phi(h)
+for which its base's b was solved, since e(cover) = 2^(1 - 2 phi(h)) e(base)
+fixes phi(h) once e(base) and e(cover) are known.
 """
 
 from __future__ import annotations
@@ -120,22 +126,34 @@ def verify_cover(m: NilManifold, phi: Z2Char, claimed: NilManifold) -> bool:
 def quotients_of(m: NilManifold) -> tuple[CoveringDescriptor, ...]:
     """All free involutions on m: (base, class, index) with cover m.
 
-    A base n must satisfy e(n) = k e(m) / 2, k = 1 or 4: in each family row
-    b*lcm + c0 = k c_m lcm / (2 l_m) for an integer b >= b_min.  Each class of
-    each candidate is filtered through double_cover.  Sorted by base encoding.
+    A base n covered through phi with phi(h) = h satisfies e(n) = 4^h e(m) / 2:
+    in each family row b*lcm + c0 = 4^h c_m lcm / (2 l_m) for an integer
+    b >= b_min.  Two exact rules cut the search before double_cover decides:
+
+      * fibre orders: an exceptional fibre of order a has preimages of order a
+        or a/2, so the odd part of lcm(a_i) is kept and its 2-part falls by at
+        most one factor of 2; rows with lcm other than l_m or 2 l_m are skipped
+        before any base is built;
+      * fibre bit: double_cover scales e by 2^(1 - 2 phi(h)), and b was solved
+        for phi(h) = h, so a class with the other h-bit covers a manifold of
+        another Euler number and is not tried.
+
+    Each remaining class goes through double_cover.  Sorted by base encoding.
     """
     c_m, l_m = _row_euler(m)
     found = []
     for (family, betas), row in ROWS.items():
-        for k in (1, 4):
-            b_cand, rem = divmod(k * c_m * row.lcm - 2 * l_m * row.c0,
+        if row.lcm not in (l_m, 2 * l_m):
+            continue
+        for h in (0, 1):
+            b_cand, rem = divmod(4 ** h * c_m * row.lcm - 2 * l_m * row.c0,
                                  2 * l_m * row.lcm)
             if rem or b_cand < row.b_min:
                 continue
             base = NilManifold(family, b_cand, betas)
             for cls in equivalence_classes(base).classes:
                 rep = cls.representative
-                if double_cover(base, rep) == m:
+                if rep.h == h and double_cover(base, rep) == m:
                     found.append(CoveringDescriptor(
                         base, rep, m, bu_index.z2_index(base, rep)))
     found.sort(key=lambda d: (d.base.encode(), d.phi.bits))

@@ -5,12 +5,17 @@ reference for the syllable word code of nilbu.presentation: words are tuples
 of nonzero ints, +k the k-th generator and -k its inverse, and a presentation
 is read through its letter accessor FinitePresentation.relators.
 equivalence_classes is the reference for the orbit closure over bit tuples:
-it closes orbits of checked characters through apply_move.
+it closes orbits of checked characters through apply_move.  quotients_of is
+the reference for the pruned search of nilbu.quotients_of: it tries every
+class of every candidate base that the Euler number allows.
 """
 
-from nilbu import (EpiClass, EpiClassPartition, InvariantError,
-                   MoveNotApplicable, apply_move, available_moves,
-                   check_epimorphism, enumerate_epis)
+import nilbu
+from nilbu import (CoveringDescriptor, EpiClass, EpiClassPartition,
+                   InvariantError, MoveNotApplicable, NilManifold, apply_move,
+                   available_moves, check_epimorphism, double_cover,
+                   enumerate_epis, z2_index)
+from nilbu.seifert import ROWS
 
 
 def matmul(a, b) -> list[list[int]]:
@@ -153,3 +158,28 @@ def equivalence_classes(m) -> EpiClassPartition:
         classes.append(EpiClass(members))
     classes.sort(key=lambda c: c.representative.bits)
     return EpiClassPartition(m, tuple(classes))
+
+
+def quotients_of(m) -> tuple:
+    """All free involutions on m by exhaustive inversion of double_cover.
+
+    For every family row and both ratios k = 1, 4 of e(base) = k e(m) / 2,
+    the b that solves it (if any) names a base, and every class of that
+    base goes through double_cover.  Sorted as nilbu.quotients_of sorts.
+    """
+    c_m, l_m = m.b * m.row.lcm + m.row.c0, m.row.lcm
+    found = []
+    for (family, betas), row in ROWS.items():
+        for k in (1, 4):
+            b_cand, rem = divmod(k * c_m * row.lcm - 2 * l_m * row.c0,
+                                 2 * l_m * row.lcm)
+            if rem or b_cand < row.b_min:
+                continue
+            base = NilManifold(family, b_cand, betas)
+            for cls in nilbu.equivalence_classes(base).classes:
+                rep = cls.representative
+                if double_cover(base, rep) == m:
+                    found.append(CoveringDescriptor(
+                        base, rep, m, z2_index(base, rep)))
+    found.sort(key=lambda d: (d.base.encode(), d.phi.bits))
+    return tuple(found)

@@ -281,6 +281,22 @@ def test_usage_errors_exit_one(capsys):
             errors = [line for line in out.err.splitlines() if "error:" in line]
             assert errors == ["nilbu %s: error: argument --b-max: invalid int "
                               "value: %r" % (command, b_max)]
+    # argparse echoes argv; a control character in it stays on the error line
+    for ctrl, shown in (("\n", "\\n"), ("\r", "\\r"), ("\x0c", "\\x0c")):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "T(1)", "--phi", "1%s0" % ctrl])
+        assert exc.value.code == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines()[-1] == (
+            "nilbu: error: unrecognized arguments: --phi 1%s0" % shown)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--b-max", "1%s6" % ctrl])
+        assert exc.value.code == 1
+        out = capsys.readouterr()
+        assert out.err.splitlines()[-1] == (
+            "nilbu verify: error: argument --b-max: invalid int value: %r"
+            % ("1%s6" % ctrl))
 
 
 def _outcome(capsys, argv):

@@ -1,0 +1,76 @@
+"""The pruned search of quotients_of against the exhaustive reference.
+
+helpers.quotients_of tries every class of every base that the Euler number
+allows.  nilbu's quotients_of skips family rows by lcm(a_i) and classes by
+their h-bit; both must find the same descriptors (base, phi bits, index),
+and the pruned search may only try candidates that obey both rules.
+"""
+
+import pytest
+
+import helpers
+from nilbu import NilManifold, coverings, euler_number, quotients_of, sweep
+from nilbu.seifert import ROWS
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+
+def _descriptors(found):
+    return [(d.base, d.phi.bits, d.cover, d.index) for d in found]
+
+
+def test_pruned_search_matches_reference():
+    for m in sweep(64):
+        assert _descriptors(quotients_of(m)) == \
+            _descriptors(helpers.quotients_of(m)), m
+
+
+@st.composite
+def large_manifolds(draw):
+    (family, betas), row = draw(st.sampled_from(sorted(ROWS.items())))
+    return NilManifold(family, draw(st.integers(row.b_min, 10 ** 12)), betas)
+
+
+@st.composite
+def large_covers(draw):
+    # a random manifold is rarely a double cover; the cover of a random
+    # base and class always is
+    base = draw(large_manifolds())
+    classes = coverings.equivalence_classes(base).classes
+    if not classes:
+        return base
+    rep = draw(st.sampled_from(classes)).representative
+    return coverings.double_cover(base, rep)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(large_manifolds(), large_covers()))
+def test_pruned_search_matches_reference_at_large_b(m):
+    assert _descriptors(quotients_of(m)) == _descriptors(helpers.quotients_of(m))
+
+
+def test_search_tries_only_candidates_that_obey_both_rules(monkeypatch):
+    bases, covers = [], []
+    classes_of = coverings.equivalence_classes
+    cover_of = coverings.double_cover
+
+    def recording_classes(base):
+        bases.append(base)
+        return classes_of(base)
+
+    def recording_cover(base, phi):
+        cover = cover_of(base, phi)
+        covers.append(cover)
+        return cover
+
+    monkeypatch.setattr(coverings, "equivalence_classes", recording_classes)
+    monkeypatch.setattr(coverings, "double_cover", recording_cover)
+    for m in sweep(16):
+        bases.clear()
+        covers.clear()
+        quotients_of(m)
+        lcm = m.row.lcm
+        assert all(n.row.lcm in (lcm, 2 * lcm) for n in bases), m
+        e = euler_number(m.seifert())
+        assert all(euler_number(c.seifert()) == e for c in covers), m
