@@ -2,7 +2,8 @@
 
 Subcommands: classify, h1, epis, cover, index, involutions, table, verify.
 Output is text by default, JSON with --format json; both are stable across
-runs.  Exit codes: 0 success, 1 invalid input, 2 verification mismatch.
+runs.  Exit codes: 0 success, 1 invalid input (or stdout closed before the
+output was written), 2 verification mismatch.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 
@@ -313,9 +315,16 @@ def main(argv=None) -> int:
     if getattr(args, "b_max", 0) < 0:
         parser.error("argument --b-max: must be >= 0, got %d" % args.b_max)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except NilError as err:
         print("error: %s" % err, file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull so that the flush at
+        # exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

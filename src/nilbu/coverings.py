@@ -115,9 +115,10 @@ def verify_cover(m: NilManifold, phi: Z2Char, claimed: NilManifold) -> bool:
     """
     validate_char(m, phi)
     # with t = h the syllable h^-b rewrites to one syllable, not b of them
-    sub = reidemeister_schreier(fundamental_group(m.seifert()), phi.bits,
+    inv = m.seifert()
+    sub = reidemeister_schreier(fundamental_group(inv), phi.bits,
                                 transversal="h" if phi.h else None)
-    c_m, _, l_m = cd_invariants(m.seifert())
+    c_m, _, l_m = cd_invariants(inv)
     c, _, l = cd_invariants(claimed.seifert())
     return (abelian_invariants(sub) == h1(claimed).decomposition
             and _euler_scales(phi.h, c_m, l_m, c, l))

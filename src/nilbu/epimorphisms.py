@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 from .presentation import check_epimorphism, fundamental_group
 from .seifert import FAMILIES, NilError, NilManifold
@@ -100,11 +100,14 @@ def validate_char(m: NilManifold, phi: Z2Char) -> Z2Char:
 
 @lru_cache(maxsize=None)
 def enumerate_epis(m: NilManifold) -> tuple[Z2Char, ...]:
-    """All epimorphisms pi_1(m) -> Z2, lexicographic in the bit tuple."""
+    """All epimorphisms pi_1(m) -> Z2, lexicographic in the bit tuple.
+
+    The presentation's epimorphism_bits tests every nonzero assignment as an
+    integer against the relators' parity masks; each survivor is then built
+    as a Z2Char, whose odd_relator check confirms it independently.
+    """
     pres = fundamental_group(m.seifert())
-    return tuple(Z2Char(m, bits)
-                 for bits in product((0, 1), repeat=len(pres.generators))
-                 if any(bits) and pres.odd_relator(bits) is None)
+    return tuple(Z2Char(m, bits) for bits in pres.epimorphism_bits())
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,12 @@ Matrices are plain lists of lists of Python ints, so arithmetic is exact and
 unbounded (no overflow to report, ever).  The Smith normal form returns the
 unimodular transforms, which the abelianization uses to express generator
 images in the invariant-factor basis for the epimorphism counts and the
-index-1 torsion test; the covering oracle compares invariant factors only and
-runs the same elimination without transforms (abelian_invariants).
+index-1 torsion test.  The covering oracle compares invariant factors only
+(abelian_invariants): its Reidemeister-Schreier relation matrices are sparse
+with mostly unit entries, so it first eliminates unit pivots on sparse rows,
+each of which adds only an invariant factor 1, and runs the same Smith loop,
+without transforms, on the small core left over (Havas, Holt and Rees,
+Recognizing badly presented Z-modules, Linear Algebra Appl. 192, 1993).
 """
 
 from __future__ import annotations
@@ -155,7 +159,7 @@ def abelianization(pres: FinitePresentation) -> AbelianGroup:
     column per relator); if S = U A V is its Smith form then generator j has
     decomposition coordinates given by column j of U.
     """
-    orders, U = _orders(pres, True)
+    orders, U = _orders(pres)
     free_pos = [i for i, d in enumerate(orders) if d == 0]
     tor_pos = [i for i, d in enumerate(orders) if d >= 2]
     gen_images = {name: tuple(U[i][j] for i in free_pos)
@@ -166,16 +170,52 @@ def abelianization(pres: FinitePresentation) -> AbelianGroup:
 
 
 def abelian_invariants(pres: FinitePresentation) -> tuple[int, tuple[int, ...]]:
-    """abelianization(pres).decomposition, by the Smith pass without U, V."""
-    orders, _ = _orders(pres, False)
-    return orders.count(0), tuple(d for d in orders if d >= 2)
+    """abelianization(pres).decomposition, without transforms.
+
+    Each relator's exponent sums form a sparse row.  While some row has an
+    entry +-1 on a generator, exact row operations clear that generator from
+    the other rows, and the row and the generator are dropped: the relation
+    expresses the generator through the others, so it adds only an invariant
+    factor 1.  The Smith loop without U and V then runs on the core left;
+    the free rank is the generators left minus the core's rank (Havas, Holt
+    and Rees 1993; Cohen 1993, Alg. 2.4.14).
+    """
+    rows = [{gen: x for gen, x in enumerate(row, 1) if x}
+            for row in exponent_matrix(pres)]
+    left = len(pres.generators)
+    i = 0
+    while i < len(rows):
+        pivot = rows[i]
+        for gen, u in pivot.items():
+            if u == 1 or u == -1:
+                break
+        else:
+            i += 1
+            continue
+        del rows[i], pivot[gen]
+        left -= 1
+        i = 0  # the elimination can give a unit to a row already passed
+        for row in rows:
+            q = row.pop(gen, 0) * u  # row -= q * pivot clears gen
+            if q:
+                for k, x in pivot.items():
+                    y = row.get(k, 0) - q * x
+                    if y:
+                        row[k] = y
+                    else:
+                        del row[k]
+    gens = sorted({gen for row in rows for gen in row})
+    S, _, _ = _smith([[row.get(gen, 0) for gen in gens] for row in rows if row],
+                     False)
+    diag = [S[i][i] for i in range(min(len(S), len(gens)))]
+    return left - sum(1 for d in diag if d), tuple(d for d in diag if d >= 2)
 
 
-def _orders(pres: FinitePresentation, transforms: bool):
+def _orders(pres: FinitePresentation):
     # the order of each decomposition coordinate (0 = free), and U
     R = exponent_matrix(pres)
     A = [[row[j] for row in R] for j in range(len(pres.generators))]
-    S, U, _ = smith_normal_form(A) if transforms else _smith(A, False)
+    S, U, _ = smith_normal_form(A)
     return [row[i] if i < len(row) else 0 for i, row in enumerate(S)], U
 
 

@@ -12,7 +12,8 @@ FinitePresentation.relators spells the relators out letter by letter (+k,
 -k) for tests that pin that form; nothing in the package reads it.  A mod-2
 assignment is a tuple of bits in generator order, each the int 0 or 1 and
 nothing else; odd_relator tests it against the parities of each relator's
-exponent sums, computed once per presentation.
+exponent sums, computed once per presentation, and epimorphism_bits runs
+through every nonzero assignment as an integer against the same parities.
 """
 
 from __future__ import annotations
@@ -94,6 +95,18 @@ class FinitePresentation:
         mask = sum(bit << i for i, bit in enumerate(bits))
         return next((word for word, odd in zip(self.words, self._odd_masks)
                      if (mask & odd).bit_count() % 2), None)
+
+    def epimorphism_bits(self) -> list[tuple[int, ...]]:
+        """Bits of every epimorphism onto Z2, in lexicographic order.
+
+        Each x in 1 .. 2^n - 1, bit k for generator k+1, is kept when it
+        meets every relator's odd mask in an even number of bits.
+        """
+        n = len(self.generators)
+        xs = range(1, 1 << n)
+        for odd in set(self._odd_masks):
+            xs = [x for x in xs if not (x & odd).bit_count() & 1]
+        return sorted(tuple(x >> k & 1 for k in range(n)) for x in xs)
 
     def format(self) -> str:
         """Debug rendering '<g1,g2 | w1, w2>'; for logging and test goldens only."""

@@ -7,14 +7,18 @@ is read through its letter accessor FinitePresentation.relators.
 equivalence_classes is the reference for the orbit closure over bit tuples:
 it closes orbits of checked characters through apply_move.  quotients_of is
 the reference for the pruned search of nilbu.quotients_of: it tries every
-class of every candidate base that the Euler number allows.
+class of every candidate base that the Euler number allows.  epi_bits is the
+reference for the integer-mask enumeration of enumerate_epis: it tries every
+bit tuple through odd_relator.
 """
+
+from itertools import product
 
 import nilbu
 from nilbu import (CoveringDescriptor, EpiClass, EpiClassPartition,
                    InvariantError, MoveNotApplicable, NilManifold, apply_move,
                    available_moves, check_epimorphism, double_cover,
-                   enumerate_epis, z2_index)
+                   enumerate_epis, fundamental_group, z2_index)
 from nilbu.seifert import ROWS
 
 
@@ -183,3 +187,14 @@ def quotients_of(m) -> tuple:
                         base, rep, m, z2_index(base, rep)))
     found.sort(key=lambda d: (d.base.encode(), d.phi.bits))
     return tuple(found)
+
+
+def epi_bits(m) -> list:
+    """Bits of every epimorphism pi_1(m) -> Z2, lexicographic.
+
+    Every bit tuple in generator order, from product, that is not all 0 and
+    gives no relator an odd image under odd_relator.
+    """
+    pres = fundamental_group(m.seifert())
+    return [bits for bits in product((0, 1), repeat=len(pres.generators))
+            if any(bits) and pres.odd_relator(bits) is None]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -352,3 +353,29 @@ def test_import_builds_no_parser():
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
     assert out == "0\n"
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    # the reader is gone before any output is written, as with `| head -1`
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nilbu.cli", "verify", "--b-max", "2",
+             "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
+
+
+def test_verify_json_is_byte_identical_to_golden(capsys):
+    # every speed-up must leave the depth-64 report byte for byte as it is
+    assert main(["verify", "--b-max", "64", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.md5(out.encode()).hexdigest() == \
+        "686182278425d94558d64aac1fe41a76"
