@@ -20,23 +20,23 @@ fixes phi(h) once e(base) and e(cover) are known.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import bu_index
 from .epimorphisms import Z2Char, equivalence_classes, validate_char
 from .homology import abelian_invariants, h1
 from .presentation import fundamental_group, reidemeister_schreier
-from .seifert import ROWS, NilManifold, cd_invariants
+from .seifert import ROWS, NilManifold, Record, cd_invariants
 
 
-@dataclass(frozen=True)
-class CoveringDescriptor:
+class CoveringDescriptor(Record):
     """One free involution: base manifold, class representative, cover, index."""
 
-    base: NilManifold
-    phi: Z2Char
-    cover: NilManifold
-    index: int
+    __slots__ = _fields = ("base", "phi", "cover", "index")
+
+    def __init__(self, base: NilManifold, phi: Z2Char, cover: NilManifold, index: int):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "cover", cover)
+        object.__setattr__(self, "index", index)
 
     def to_json_dict(self) -> dict:
         return {"base": self.base.encode(),

@@ -13,12 +13,11 @@ orderings are deterministic: characters are compared by their bit tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 from .presentation import check_epimorphism, fundamental_group
-from .seifert import FAMILIES, NilError, NilManifold
+from .seifert import FAMILIES, NilError, NilManifold, Record
 
 
 class MoveNotApplicable(NilError):
@@ -35,21 +34,19 @@ def _shape(family: str) -> tuple[int, int]:
     return len(orders), g
 
 
-@dataclass(frozen=True)
-class Z2Char:
+class Z2Char(Record):
     """An epimorphism pi_1(manifold) -> Z2, checked when it is made.
 
     Held as its bits in generator order, read in groups through s, v and h.
     """
 
-    manifold: NilManifold
-    bits: tuple[int, ...]
+    __slots__ = _fields = ("manifold", "bits")
 
-    def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(self.bits))
+    def __init__(self, manifold: NilManifold, bits: tuple[int, ...]):
+        object.__setattr__(self, "manifold", manifold)
+        object.__setattr__(self, "bits", tuple(bits))
         try:
-            check_epimorphism(fundamental_group(self.manifold.seifert()),
-                              self.bits)
+            check_epimorphism(fundamental_group(manifold.seifert()), self.bits)
         except NilError as err:
             raise InvalidCharacter(str(err)) from err
 
@@ -110,35 +107,41 @@ def enumerate_epis(m: NilManifold) -> tuple[Z2Char, ...]:
     return tuple(Z2Char(m, bits) for bits in pres.epimorphism_bits())
 
 
-@dataclass(frozen=True)
-class FiberFlip:
+class FiberFlip(Record):
     """Toggle the listed v-bits; allowed when phi(h) = 1."""
-    v_indices: tuple[int, ...]
+    __slots__ = _fields = ("v_indices",)
+
+    def __init__(self, v_indices: tuple[int, ...]):
+        object.__setattr__(self, "v_indices", v_indices)
 
 
-@dataclass(frozen=True)
-class ConeSwap:
+class ConeSwap(Record):
     """Exchange the s-bits of two cone points with equal (a, beta)."""
-    i: int
-    j: int
+    __slots__ = _fields = ("i", "j")
+
+    def __init__(self, i: int, j: int):
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
 
 
-@dataclass(frozen=True)
-class TorusShear:
+class TorusShear(Record):
     """Torus-base transvection: variant 1 needs phi(v1) = 1 and toggles v2;
     variant 2 needs phi(v2) = 1 and toggles v1."""
-    variant: int
+    __slots__ = _fields = ("variant",)
+
+    def __init__(self, variant: int):
+        object.__setattr__(self, "variant", variant)
 
 
-@dataclass(frozen=True)
-class KleinSwap:
+class KleinSwap(Record):
     """Klein-base swap of v-bits; allowed when they are (1,0) or (0,1)."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConeSlide:
+class ConeSlide(Record):
     """Family 22 slide of v1 across the second cone; needs phi(s2) = 1,
     toggles v1."""
+    __slots__ = ()
 
 
 MoveSpec = FiberFlip | ConeSwap | TorusShear | KleinSwap | ConeSlide
@@ -218,11 +221,13 @@ def available_moves(m: NilManifold) -> tuple[MoveSpec, ...]:
     return tuple(moves)
 
 
-@dataclass(frozen=True)
-class EpiClass:
+class EpiClass(Record):
     """One equivalence class; members sorted, representative = lexicographic min."""
 
-    members: tuple[Z2Char, ...]
+    __slots__ = _fields = ("members",)
+
+    def __init__(self, members: tuple[Z2Char, ...]):
+        object.__setattr__(self, "members", members)
 
     @property
     def representative(self) -> Z2Char:
@@ -233,10 +238,12 @@ class EpiClass:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class EpiClassPartition:
-    manifold: NilManifold
-    classes: tuple[EpiClass, ...]
+class EpiClassPartition(Record):
+    __slots__ = _fields = ("manifold", "classes")
+
+    def __init__(self, manifold: NilManifold, classes: tuple[EpiClass, ...]):
+        object.__setattr__(self, "manifold", manifold)
+        object.__setattr__(self, "classes", classes)
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -14,12 +14,11 @@ Recognizing badly presented Z-modules, Linear Algebra Appl. 192, 1993).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .presentation import (FinitePresentation, check_bits, exponent_matrix,
                            fundamental_group)
-from .seifert import InvariantError, NilManifold
+from .seifert import InvariantError, NilManifold, Record
 
 
 def identity(n: int) -> list[list[int]]:
@@ -113,19 +112,21 @@ def _smith(m, transforms: bool):
     return A, U, V
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Record):
     """Finitely generated abelian group in invariant-factor form.
 
     torsion is the chain d_1 | d_2 | ... with every d_i >= 2 (Z_1 factors are
     dropped).  gen_images maps each presentation generator to its coordinates
     in the decomposition basis, free coordinates first, then torsion
-    coordinates reduced mod d_i.
+    coordinates reduced mod d_i.  Unhashable, since gen_images is a dict.
     """
 
-    free_rank: int
-    torsion: tuple[int, ...]
-    gen_images: dict
+    __slots__ = _fields = ("free_rank", "torsion", "gen_images")
+
+    def __init__(self, free_rank: int, torsion: tuple[int, ...], gen_images: dict):
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
+        object.__setattr__(self, "gen_images", gen_images)
 
     @property
     def decomposition(self) -> tuple[int, tuple[int, ...]]:

@@ -18,10 +18,9 @@ through every nonzero assignment as an integer against the same parities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .seifert import InvariantError, NilError, SeifertInvariant
+from .seifert import InvariantError, NilError, Record, SeifertInvariant
 
 Word = tuple[tuple[int, int], ...]
 
@@ -51,21 +50,19 @@ def letters(word) -> tuple[int, ...]:
                  for letter in ((gen,) * exp if exp > 0 else (-gen,) * -exp))
 
 
-@dataclass(frozen=True)
-class FinitePresentation:
+class FinitePresentation(Record):
     """Generators by name, relators as syllable words, freely reduced on entry."""
 
-    generators: tuple[str, ...]
-    words: tuple[Word, ...]
+    _fields = ("generators", "words")  # no __slots__: cached_property needs a __dict__
 
-    def __post_init__(self):
-        names = tuple(self.generators)
+    def __init__(self, generators: tuple[str, ...], words: tuple[Word, ...]):
+        names = tuple(generators)
         if len(set(names)) != len(names):
             raise InvariantError("duplicate generator names")
         object.__setattr__(self, "generators", names)
         g = len(names)
         reduced = []
-        for word in self.words:
+        for word in words:
             word = tuple(word)
             for gen, exp in word:
                 if type(gen) is not int or type(exp) is not int \
@@ -212,9 +209,9 @@ def reidemeister_schreier(pres: FinitePresentation, bits,
                           transversal: str | None = None) -> FinitePresentation:
     """Presentation of the index-2 subgroup ker(phi) by Reidemeister-Schreier.
 
-    phi is given by its bits in generator order.
-    The transversal is {1, t} with t the first generator (in presentation
-    order) mapping to 1, unless another phi = 1 generator is named.  Schreier
+    phi is given by its bits in generator order.  The transversal is {1, t},
+    t a named phi = 1 generator or else the phi = 1 generator of the largest
+    |exponent| in any syllable (the first on a tie), see below.  Schreier
     generators are gamma(r, x) = r x (rx-bar)^-1 for coset r in {0, 1} and
     generator x, named 'x.r'; the trivial gamma(0, t) is dropped, leaving
     2n - 1 generators.  Each relator is rewritten starting at both cosets,
@@ -223,11 +220,13 @@ def reidemeister_schreier(pres: FinitePresentation, bits,
     form when phi(x) = 0, to (x.r)^k, or when x = t: the coset
     representatives are t^0 and t^1, so t^r t^k t^-r' = (t^2)^q = (t.1)^q
     with r' = (k + r) mod 2 and q = (k + r) // 2.  Any other x with
-    phi(x) = 1 gives the alternating word x.r x.r' ..., a syllable a letter.
+    phi(x) = 1 gives x.r x.r' ..., a letter a syllable: so the default t is
+    h in pi_1 once phi(h) = 1 and |b| is the largest exponent, bounded in b.
     """
     check_epimorphism(pres, bits)
-    if transversal is None:
-        t = bits.index(1)
+    if transversal is None:  # (|exponent|, -generator) of the largest syllable
+        t = -max(((abs(exp), -gen) for word in pres.words for gen, exp in word
+                  if bits[gen - 1]), default=(0, -1 - bits.index(1)))[1] - 1
     else:
         t = pres.generators.index(transversal)
         if bits[t] != 1:

@@ -35,15 +35,14 @@ what the base orbifold looks like:
     333     +1   0   3, 3, 3         b1 <= b2 <= b3 in {1,2}
 
 Within each family b ranges over the integers with e > 0, i.e. b >= b_min.
-Everything is exact: e and chi are Fractions, c = e * lcm(a_i) is an int.
+Everything is exact: c = e * lcm(a_i) and b_min are ints, e and chi Fractions.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 
@@ -67,8 +66,42 @@ class ParseError(NilError):
     """Text does not parse as a Seifert invariant or family encoding."""
 
 
-@dataclass(frozen=True)
-class SeifertInvariant:
+class Record:
+    """Immutable record compared, hashed and shown by its fields, not iterable.
+
+    A frozen dataclass without importing dataclasses: a subclass names its
+    fields in __slots__ = _fields = (...) and sets them in its own __init__.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):  # an attrgetter is no descriptor: self._key(self)
+        cls._key = (operator.attrgetter(*cls._fields) if cls._fields
+                    else staticmethod(lambda self: ()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self._fields)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot assign to or delete field %r" % (name,))
+
+    __delattr__ = __setattr__
+
+
+class SeifertInvariant(Record):
     """Normalized Seifert invariant of a closed orientable Seifert fibration.
 
     Pairs are kept canonically sorted; construction enforces the normal form
@@ -76,19 +109,16 @@ class SeifertInvariant:
     normalize() to build one from loose data.
     """
 
-    b: int
-    epsilon: int
-    g_prime: int
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("b", "epsilon", "g_prime", "pairs")
 
-    def __post_init__(self):
-        if self.epsilon not in (+1, -1):
-            raise InvariantError("epsilon must be +1 or -1, got %r" % (self.epsilon,))
-        if self.g_prime < 0:
-            raise InvariantError("g' must be >= 0, got %r" % (self.g_prime,))
-        if self.epsilon == -1 and self.g_prime < 1:
+    def __init__(self, b: int, epsilon: int, g_prime: int, pairs):
+        if epsilon not in (+1, -1):
+            raise InvariantError("epsilon must be +1 or -1, got %r" % (epsilon,))
+        if g_prime < 0:
+            raise InvariantError("g' must be >= 0, got %r" % (g_prime,))
+        if epsilon == -1 and g_prime < 1:
             raise InvariantError("non-orientable base needs g' >= 1")
-        pairs = tuple(sorted((int(a), int(beta)) for a, beta in self.pairs))
+        pairs = tuple(sorted((int(a), int(beta)) for a, beta in pairs))
         for a, beta in pairs:
             if a < 2:
                 raise InvariantError("normalized pair needs a >= 2, got (%d,%d)" % (a, beta))
@@ -96,6 +126,9 @@ class SeifertInvariant:
                 raise InvariantError("normalized pair needs 0 < beta < a, got (%d,%d)" % (a, beta))
             if math.gcd(a, beta) != 1:
                 raise InvariantError("pair (%d,%d) is not coprime" % (a, beta))
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "g_prime", g_prime)
         object.__setattr__(self, "pairs", pairs)
 
     def encode(self) -> str:
@@ -131,11 +164,13 @@ def normalize(b, epsilon, g_prime, pairs) -> SeifertInvariant:
 
 def orbifold_euler_char(inv: SeifertInvariant) -> Fraction:
     """chi of the base orbifold: (2 - g') - sum (1 - 1/a_i)."""
+    from fractions import Fraction
     return Fraction(2 - inv.g_prime) - sum(1 - Fraction(1, a) for a, _ in inv.pairs)
 
 
 def euler_number(inv: SeifertInvariant) -> Fraction:
     """Euler number of the fibration: e = b + sum b_i/a_i."""
+    from fractions import Fraction
     return sum((Fraction(beta, a) for a, beta in inv.pairs), Fraction(inv.b))
 
 
@@ -149,8 +184,8 @@ def cd_invariants(inv: SeifertInvariant) -> tuple[int, int, int]:
 
 def b_min(pairs) -> int:
     """Least b with e > 0 for the given exceptional pairs: -ceil(sum b_i/a_i) + 1."""
-    s = sum(Fraction(beta, a) for a, beta in pairs)
-    return -math.ceil(s) + 1
+    lcm = math.lcm(*(a for a, _ in pairs))  # sum b_i/a_i = c0/lcm, as in cd_invariants
+    return -sum(beta * (lcm // a) for a, beta in pairs) // lcm + 1
 
 
 def is_nil(inv: SeifertInvariant) -> bool:
@@ -215,8 +250,7 @@ def _family_row(family: str, betas) -> FamilyRow:
 ROWS = {row: _family_row(*row) for row in family_rows()}
 
 
-@dataclass(frozen=True)
-class NilManifold:
+class NilManifold(Record):
     """A Nil Seifert manifold named by family tag and parameters.
 
     betas holds the free exceptional-fibre parameters of the family (order-2
@@ -224,32 +258,31 @@ class NilManifold:
     sorted; b must satisfy e > 0, i.e. b >= b_min of the family row.
     """
 
-    family: str
-    b: int
-    betas: tuple[int, ...] = ()
+    __slots__ = _fields = ("family", "b", "betas")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise InvariantError("unknown family tag %r" % (self.family,))
-        _, _, _, free = FAMILIES[self.family]
-        betas = tuple(int(x) for x in self.betas)
-        if self.family in _SORTED_BETAS:
+    def __init__(self, family: str, b: int, betas: tuple[int, ...] = ()):
+        if family not in FAMILIES:
+            raise InvariantError("unknown family tag %r" % (family,))
+        _, _, _, free = FAMILIES[family]
+        betas = tuple(int(x) for x in betas)
+        if family in _SORTED_BETAS:
             betas = tuple(sorted(betas))
-        object.__setattr__(self, "betas", betas)
-        object.__setattr__(self, "b", int(self.b))
+        b = int(b)
         if len(betas) != len(free):
             raise InvariantError(
                 "family %s takes %d cone parameters, got %d"
-                % (self.family, len(free), len(betas)))
+                % (family, len(free), len(betas)))
         for a, beta in zip(free, betas):
             if not (0 < beta < a and math.gcd(a, beta) == 1):
                 raise InvariantError(
                     "cone parameter %d invalid for order %d in family %s"
-                    % (beta, a, self.family))
-        if self.b < self.row.b_min:
-            raise InvariantError(
-                "b = %d below b_min = %d for family %s%r"
-                % (self.b, self.row.b_min, self.family, betas))
+                    % (beta, a, family))
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "betas", betas)
+        if b < self.row.b_min:
+            raise InvariantError("b = %d below b_min = %d for family %s%r"
+                                 % (b, self.row.b_min, family, betas))
 
     @property
     def row(self) -> FamilyRow:

@@ -12,7 +12,7 @@ reference for the integer-mask enumeration of enumerate_epis: it tries every
 bit tuple through odd_relator.
 """
 
-from itertools import product
+from itertools import groupby, product
 
 import nilbu
 from nilbu import (CoveringDescriptor, EpiClass, EpiClassPartition,
@@ -90,12 +90,18 @@ def reidemeister_schreier(pres, bits, transversal=None):
     """Generators and freely reduced letter relators of ker(phi), letter by letter.
 
     The same rewriting as nilbu.reidemeister_schreier: transversal {1, t},
-    Schreier generators 'x.r' with the trivial t.0 dropped, each relator
-    rewritten from both cosets.
+    by default t the phi = 1 generator with the longest run of one letter
+    (a syllable), the first on a tie; Schreier generators 'x.r' with the
+    trivial t.0 dropped, each relator rewritten from both cosets.
     """
     check_epimorphism(pres, bits)
     if transversal is None:
-        t = bits.index(1)
+        runs = [0] * len(bits)
+        for word in pres.relators:
+            for letter, run in groupby(word):
+                x = abs(letter) - 1
+                runs[x] = max(runs[x], len(list(run)))
+        t = max((x for x, bit in enumerate(bits) if bit), key=runs.__getitem__)
     else:
         t = pres.generators.index(transversal)
         if bits[t] != 1:

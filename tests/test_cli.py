@@ -355,6 +355,20 @@ def test_import_builds_no_parser():
     assert out == "0\n"
 
 
+def test_import_loads_no_dataclasses_or_fractions():
+    # which modules the import adds to the interpreter's own start-up, not
+    # how long it takes: dataclasses brings inspect, fractions brings decimal
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys; before = set(sys.modules); import nilbu.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    added = set(out.split())
+    assert "nilbu.cli" in added
+    assert not added & {"dataclasses", "inspect", "fractions", "decimal"}
+
+
 def test_closed_stdout_exits_one_without_traceback():
     # the reader is gone before any output is written, as with `| head -1`
     src = os.path.dirname(os.path.dirname(cli.__file__))

@@ -4,6 +4,7 @@ from nilbu import (FinitePresentation, InvariantError, NilManifold,
                    NotAHomomorphism, NotSurjective, abelianization,
                    check_epimorphism, format_word, free_reduce,
                    fundamental_group, reidemeister_schreier)
+from nilbu.homology import abelian_invariants
 
 from helpers import inverse_word
 
@@ -164,3 +165,18 @@ def test_rs_transversal_must_map_to_one():
     p = fundamental_group(NilManifold("T", 2).seifert())
     with pytest.raises(InvariantError):
         reidemeister_schreier(p, (1, 0, 0), transversal="v2")
+
+
+def test_rs_default_transversal_is_bounded_in_b():
+    # phi(h) = 1: the default transversal is h, whose power h^-b rewrites to
+    # one syllable, so the kernel presentation has the same size at any b
+    def kernel(b, transversal=None):
+        p = fundamental_group(NilManifold("333", b, (1, 1, 2)).seifert())
+        return reidemeister_schreier(p, (1, 1, 0, 1), transversal)
+
+    def syllables(q):
+        return sum(map(len, q.words))
+
+    big = kernel(10 ** 12)
+    assert syllables(big) == syllables(kernel(10 ** 3))
+    assert abelian_invariants(big) == abelian_invariants(kernel(10 ** 12, "h"))

@@ -8,6 +8,7 @@ from nilbu import (InvariantError, NilManifold, NotNil, OrientationError,
                    classify, euler_number, family_rows, is_nil, normalize,
                    orbifold_euler_char, parse_family, parse_manifold,
                    parse_seifert, reverse_orientation, sweep)
+from nilbu.seifert import ROWS
 
 
 def test_normalize_carries_overflow_into_b():
@@ -93,6 +94,17 @@ def test_b_min():
     assert b_min(((2, 1),) * 4) == -1
     assert b_min(((2, 1), (3, 1), (6, 1))) == 0
     assert b_min(((2, 1), (3, 2), (6, 5))) == -1
+
+
+def test_b_min_of_every_row():
+    pinned = {("T", ()): 1, ("K", ()): 1, ("22", ()): 0, ("2222", ()): -1,
+              ("236", (1, 1)): 0, ("236", (1, 5)): -1, ("236", (2, 1)): -1,
+              ("236", (2, 5)): -1, ("244", (1, 1)): 0, ("244", (1, 3)): -1,
+              ("244", (3, 3)): -1, ("333", (1, 1, 1)): 0,
+              ("333", (1, 1, 2)): -1, ("333", (1, 2, 2)): -1,
+              ("333", (2, 2, 2)): -1}
+    assert {key: b_min(row.pairs) for key, row in ROWS.items()} == pinned
+    assert {key: row.b_min for key, row in ROWS.items()} == pinned
 
 
 def test_is_nil():

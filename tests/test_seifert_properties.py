@@ -3,7 +3,8 @@
 Random loose data goes through normalize, classify and reverse_orientation,
 including the mirror path and the NotNil / OrientationError splits, and both
 encodings must parse back to what they encode, also with random whitespace
-between their tokens.  Whitespace inside a number is an error.
+between their tokens.  Whitespace inside a number is an error.  b_min,
+computed in integers, must agree with its rational definition.
 """
 
 import math
@@ -13,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from nilbu import (FAMILIES, InvariantError, NilManifold, NotNil,
-                   OrientationError, ParseError, classify,
+                   OrientationError, ParseError, b_min, classify,
                    euler_number, normalize, orbifold_euler_char, parse_family,
                    parse_manifold, parse_seifert, reverse_orientation)
 from nilbu.seifert import ROWS
@@ -48,6 +49,19 @@ def _classified(inv):
         return classify(inv)
     except (NotNil, OrientationError) as err:
         return type(err)
+
+
+coprime_pairs = st.lists(
+    st.tuples(st.integers(1, 60), st.integers(-200, 200))
+    .filter(lambda pair: math.gcd(*pair) == 1), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coprime_pairs)
+def test_b_min_is_the_least_b_with_positive_e(pairs):
+    # the integer b_min against the rational definition, no pairs included
+    assert b_min(pairs) == -math.ceil(sum(Fraction(beta, a)
+                                          for a, beta in pairs)) + 1
 
 
 @settings(max_examples=120, deadline=None)
