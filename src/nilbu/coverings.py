@@ -32,12 +32,6 @@ class CoveringDescriptor(Record):
 
     __slots__ = _fields = ("base", "phi", "cover", "index")
 
-    def __init__(self, base: NilManifold, phi: Z2Char, cover: NilManifold, index: int):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "cover", cover)
-        object.__setattr__(self, "index", index)
-
     def to_json_dict(self) -> dict:
         return {"base": self.base.encode(),
                 "phi": self.phi.to_json_dict(),
@@ -114,10 +108,8 @@ def verify_cover(m: NilManifold, phi: Z2Char, claimed: NilManifold) -> bool:
     relation on the Seifert invariants' (c, lcm).  True iff both hold.
     """
     validate_char(m, phi)
-    # with t = h the syllable h^-b rewrites to one syllable, not b of them
     inv = m.seifert()
-    sub = reidemeister_schreier(fundamental_group(inv), phi.bits,
-                                transversal="h" if phi.h else None)
+    sub = reidemeister_schreier(fundamental_group(inv), phi.bits)
     c_m, _, l_m = cd_invariants(inv)
     c, _, l = cd_invariants(claimed.seifert())
     return (abelian_invariants(sub) == h1(claimed).decomposition

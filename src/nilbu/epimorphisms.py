@@ -111,26 +111,16 @@ class FiberFlip(Record):
     """Toggle the listed v-bits; allowed when phi(h) = 1."""
     __slots__ = _fields = ("v_indices",)
 
-    def __init__(self, v_indices: tuple[int, ...]):
-        object.__setattr__(self, "v_indices", v_indices)
-
 
 class ConeSwap(Record):
     """Exchange the s-bits of two cone points with equal (a, beta)."""
     __slots__ = _fields = ("i", "j")
-
-    def __init__(self, i: int, j: int):
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
 
 
 class TorusShear(Record):
     """Torus-base transvection: variant 1 needs phi(v1) = 1 and toggles v2;
     variant 2 needs phi(v2) = 1 and toggles v1."""
     __slots__ = _fields = ("variant",)
-
-    def __init__(self, variant: int):
-        object.__setattr__(self, "variant", variant)
 
 
 class KleinSwap(Record):
@@ -209,6 +199,11 @@ def _move_bits(bits, move: MoveSpec, m: NilManifold) -> tuple[int, ...]:
     return tuple(s + v + [h])
 
 
+# the moves that live on one family only, built once
+_FAMILY_MOVES = {"T": (TorusShear(1), TorusShear(2)), "K": (KleinSwap(),),
+                 "22": (ConeSlide(),)}
+
+
 def available_moves(m: NilManifold) -> tuple[MoveSpec, ...]:
     """Generating set of moves for m's family (single flips and swaps)."""
     _, g, _, _ = FAMILIES[m.family]
@@ -216,18 +211,13 @@ def available_moves(m: NilManifold) -> tuple[MoveSpec, ...]:
     moves: list[MoveSpec] = [FiberFlip((j,)) for j in range(1, g + 1)]
     moves += [ConeSwap(i + 1, j + 1) for i, j in
               combinations(range(len(pairs)), 2) if pairs[i] == pairs[j]]
-    moves += {"T": [TorusShear(1), TorusShear(2)], "K": [KleinSwap()],
-              "22": [ConeSlide()]}.get(m.family, [])
-    return tuple(moves)
+    return tuple(moves) + _FAMILY_MOVES.get(m.family, ())
 
 
 class EpiClass(Record):
     """One equivalence class; members sorted, representative = lexicographic min."""
 
     __slots__ = _fields = ("members",)
-
-    def __init__(self, members: tuple[Z2Char, ...]):
-        object.__setattr__(self, "members", members)
 
     @property
     def representative(self) -> Z2Char:
@@ -240,10 +230,6 @@ class EpiClass(Record):
 
 class EpiClassPartition(Record):
     __slots__ = _fields = ("manifold", "classes")
-
-    def __init__(self, manifold: NilManifold, classes: tuple[EpiClass, ...]):
-        object.__setattr__(self, "manifold", manifold)
-        object.__setattr__(self, "classes", classes)
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -123,11 +123,6 @@ class AbelianGroup(Record):
 
     __slots__ = _fields = ("free_rank", "torsion", "gen_images")
 
-    def __init__(self, free_rank: int, torsion: tuple[int, ...], gen_images: dict):
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", torsion)
-        object.__setattr__(self, "gen_images", gen_images)
-
     @property
     def decomposition(self) -> tuple[int, tuple[int, ...]]:
         """Isomorphism invariant: (free rank, invariant factors)."""

@@ -77,10 +77,6 @@ class FinitePresentation(Record):
         """The relators letter by letter; O(sum of |exponents|), for tests."""
         return tuple(map(letters, self.words))
 
-    def index(self, name: str) -> int:
-        """1-based number of a generator name."""
-        return self.generators.index(name) + 1
-
     @cached_property
     def _odd_masks(self) -> tuple[int, ...]:
         # bit k of a relator's mask: its exponent sum on generator k+1 is odd
@@ -205,33 +201,27 @@ def check_epimorphism(pres: FinitePresentation, bits) -> None:
         raise NotSurjective("phi kills every generator")
 
 
-def reidemeister_schreier(pres: FinitePresentation, bits,
-                          transversal: str | None = None) -> FinitePresentation:
+def reidemeister_schreier(pres: FinitePresentation, bits) -> FinitePresentation:
     """Presentation of the index-2 subgroup ker(phi) by Reidemeister-Schreier.
 
     phi is given by its bits in generator order.  The transversal is {1, t},
-    t a named phi = 1 generator or else the phi = 1 generator of the largest
-    |exponent| in any syllable (the first on a tie), see below.  Schreier
-    generators are gamma(r, x) = r x (rx-bar)^-1 for coset r in {0, 1} and
-    generator x, named 'x.r'; the trivial gamma(0, t) is dropped, leaving
-    2n - 1 generators.  Each relator is rewritten starting at both cosets,
-    giving 2r relators, freely reduced but not otherwise simplified (empty
-    rewrites are kept).  A syllable x^k read from coset r rewrites in closed
-    form when phi(x) = 0, to (x.r)^k, or when x = t: the coset
-    representatives are t^0 and t^1, so t^r t^k t^-r' = (t^2)^q = (t.1)^q
-    with r' = (k + r) mod 2 and q = (k + r) // 2.  Any other x with
-    phi(x) = 1 gives x.r x.r' ..., a letter a syllable: so the default t is
-    h in pi_1 once phi(h) = 1 and |b| is the largest exponent, bounded in b.
+    t the phi = 1 generator of the largest |exponent| in any syllable (the
+    first on a tie), see below.  Schreier generators are gamma(r, x) = r x
+    (rx-bar)^-1 for coset r in {0, 1} and generator x, named 'x.r'; the
+    trivial gamma(0, t) is dropped, leaving 2n - 1 generators.  Each relator
+    is rewritten starting at both cosets, giving 2r relators, freely reduced
+    but not otherwise simplified (empty rewrites are kept).  A syllable x^k
+    read from coset r rewrites in closed form when phi(x) = 0, to (x.r)^k,
+    or when x = t: the coset representatives are t^0 and t^1, so t^r t^k
+    t^-r' = (t^2)^q = (t.1)^q with r' = (k + r) mod 2 and q = (k + r) // 2.
+    Any other x with phi(x) = 1 gives x.r x.r' ..., a letter a syllable: so
+    t is h in pi_1 once phi(h) = 1 and |b| is the largest exponent, bounded
+    in b.
     """
     check_epimorphism(pres, bits)
-    if transversal is None:  # (|exponent|, -generator) of the largest syllable
-        t = -max(((abs(exp), -gen) for word in pres.words for gen, exp in word
-                  if bits[gen - 1]), default=(0, -1 - bits.index(1)))[1] - 1
-    else:
-        t = pres.generators.index(transversal)
-        if bits[t] != 1:
-            raise InvariantError(
-                "transversal generator %r must have phi = 1" % transversal)
+    # (|exponent|, -generator) of the largest syllable
+    t = -max(((abs(exp), -gen) for word in pres.words for gen, exp in word
+              if bits[gen - 1]), default=(0, -1 - bits.index(1)))[1] - 1
 
     names = []
     index = []  # index[x][r]: number of generator x.r (None for t.0)

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 
 class NilError(Exception):
@@ -70,11 +70,20 @@ class Record:
     """Immutable record compared, hashed and shown by its fields, not iterable.
 
     A frozen dataclass without importing dataclasses: a subclass names its
-    fields in __slots__ = _fields = (...) and sets them in its own __init__.
+    fields in __slots__ = _fields = (...), and Record.__init__ takes one
+    value per field, in that order.  A subclass that checks its values
+    keeps its own __init__ and sets them with object.__setattr__.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError("%s needs one value per field (%d), got %d" % (
+                self.__class__.__qualname__, len(self._fields), len(values)))
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def __init_subclass__(cls):  # an attrgetter is no descriptor: self._key(self)
         cls._key = (operator.attrgetter(*cls._fields) if cls._fields
@@ -229,13 +238,8 @@ def family_rows() -> list[tuple[str, tuple[int, ...]]]:
     return rows
 
 
-class FamilyRow(NamedTuple):
-    """One family row: its pairs, lcm(a_i), c0 (c = b*lcm + c0) and b_min."""
-
-    pairs: tuple[tuple[int, int], ...]
-    lcm: int
-    c0: int
-    b_min: int
+# one family row: its pairs, lcm(a_i), c0 (c = b*lcm + c0) and b_min
+FamilyRow = namedtuple("FamilyRow", ("pairs", "lcm", "c0", "b_min"))
 
 
 def _family_row(family: str, betas) -> FamilyRow:

@@ -3,7 +3,9 @@
 free_reduce, exponent_matrix and reidemeister_schreier are the letter-level
 reference for the syllable word code of nilbu.presentation: words are tuples
 of nonzero ints, +k the k-th generator and -k its inverse, and a presentation
-is read through its letter accessor FinitePresentation.relators.
+is read through its letter accessor FinitePresentation.relators.  The
+reference also rewrites over any phi = 1 transversal, which nilbu does not;
+kernel_presentation turns such a rewriting back into syllable words.
 equivalence_classes is the reference for the orbit closure over bit tuples:
 it closes orbits of checked characters through apply_move.  quotients_of is
 the reference for the pruned search of nilbu.quotients_of: it tries every
@@ -16,9 +18,10 @@ from itertools import groupby, product
 
 import nilbu
 from nilbu import (CoveringDescriptor, EpiClass, EpiClassPartition,
-                   InvariantError, MoveNotApplicable, NilManifold, apply_move,
-                   available_moves, check_epimorphism, double_cover,
-                   enumerate_epis, fundamental_group, z2_index)
+                   FinitePresentation, InvariantError, MoveNotApplicable,
+                   NilManifold, apply_move, available_moves,
+                   check_epimorphism, double_cover, enumerate_epis,
+                   fundamental_group, z2_index)
 from nilbu.seifert import ROWS
 
 
@@ -90,9 +93,11 @@ def reidemeister_schreier(pres, bits, transversal=None):
     """Generators and freely reduced letter relators of ker(phi), letter by letter.
 
     The same rewriting as nilbu.reidemeister_schreier: transversal {1, t},
-    by default t the phi = 1 generator with the longest run of one letter
-    (a syllable), the first on a tie; Schreier generators 'x.r' with the
-    trivial t.0 dropped, each relator rewritten from both cosets.
+    t the phi = 1 generator with the longest run of one letter (a syllable),
+    the first on a tie, which is nilbu's only rule; Schreier generators 'x.r'
+    with the trivial t.0 dropped, each relator rewritten from both cosets.
+    A transversal names another phi = 1 generator for t, to check that
+    every choice presents the same subgroup.
     """
     check_epimorphism(pres, bits)
     if transversal is None:
@@ -135,6 +140,18 @@ def reidemeister_schreier(pres, bits, transversal=None):
             assert coset == start, "relator escaped its coset"
             relators.append(free_reduce(out))
     return tuple(names), tuple(relators)
+
+
+def syllables(word):
+    """A letter word as syllables: each run of one letter is one syllable."""
+    return tuple((abs(letter), len(list(run)) * (1 if letter > 0 else -1))
+                 for letter, run in groupby(word))
+
+
+def kernel_presentation(pres, bits, transversal=None):
+    """The reference rewriting of ker(phi) as a FinitePresentation."""
+    names, relators = reidemeister_schreier(pres, bits, transversal)
+    return FinitePresentation(names, tuple(map(syllables, relators)))
 
 
 def equivalence_classes(m) -> EpiClassPartition:

@@ -357,16 +357,19 @@ def test_import_builds_no_parser():
 
 def test_import_loads_no_dataclasses_or_fractions():
     # which modules the import adds to the interpreter's own start-up, not
-    # how long it takes: dataclasses brings inspect, fractions brings decimal
+    # how long it takes: dataclasses brings inspect, fractions brings decimal;
+    # with -S no site hook (such as a .pth file) has loaded typing first
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = ("import sys; before = set(sys.modules); import nilbu.cli; "
             "print(' '.join(sorted(set(sys.modules) - before)))")
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src)).stdout
-    added = set(out.split())
-    assert "nilbu.cli" in added
-    assert not added & {"dataclasses", "inspect", "fractions", "decimal"}
+    for flags in ([], ["-S"]):
+        out = subprocess.run([sys.executable, *flags, "-c", code],
+                             check=True, capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src)).stdout
+        added = set(out.split())
+        assert "nilbu.cli" in added, flags
+        assert not added & {"dataclasses", "inspect", "fractions", "decimal",
+                            "typing"}, flags
 
 
 def test_closed_stdout_exits_one_without_traceback():

@@ -6,6 +6,7 @@ from nilbu import (ConeSlide, ConeSwap, FiberFlip, InvalidCharacter,
                    enumerate_epis, equivalence_classes, expected_epi_count,
                    expected_partition_shape, h1, mod2_rank, sweep,
                    validate_char)
+from nilbu.seifert import ROWS
 
 
 def test_char_access():
@@ -164,18 +165,30 @@ def test_apply_move_requires_valid_epimorphism():
 
 
 def test_available_moves():
-    assert available_moves(NilManifold("T", 2)) == \
-        (FiberFlip((1,)), FiberFlip((2,)), TorusShear(1), TorusShear(2))
-    assert available_moves(NilManifold("K", 2)) == \
-        (FiberFlip((1,)), FiberFlip((2,)), KleinSwap())
-    assert available_moves(NilManifold("22", 0)) == \
-        (FiberFlip((1,)), ConeSwap(1, 2), ConeSlide())
-    assert available_moves(NilManifold("2222", 0)) == \
-        tuple(ConeSwap(i, j) for i in range(1, 5) for j in range(i + 1, 5))
-    assert available_moves(NilManifold("236", 0, (1, 1))) == ()
-    assert available_moves(NilManifold("244", 0, (1, 1))) == (ConeSwap(2, 3),)
-    assert available_moves(NilManifold("333", 1, (1, 1, 1))) == \
-        (ConeSwap(1, 2), ConeSwap(1, 3), ConeSwap(2, 3))
+    swaps = {n: tuple(ConeSwap(i, j) for i in range(1, n + 1)
+                      for j in range(i + 1, n + 1)) for n in (3, 4)}
+    expected = {
+        ("T", ()): (FiberFlip((1,)), FiberFlip((2,)), TorusShear(1),
+                    TorusShear(2)),
+        ("K", ()): (FiberFlip((1,)), FiberFlip((2,)), KleinSwap()),
+        ("22", ()): (FiberFlip((1,)), ConeSwap(1, 2), ConeSlide()),
+        ("2222", ()): swaps[4],
+        ("236", (1, 1)): (), ("236", (1, 5)): (),
+        ("236", (2, 1)): (), ("236", (2, 5)): (),
+        ("244", (1, 1)): (ConeSwap(2, 3),), ("244", (1, 3)): (),
+        ("244", (3, 3)): (ConeSwap(2, 3),),
+        ("333", (1, 1, 1)): swaps[3], ("333", (1, 1, 2)): (ConeSwap(1, 2),),
+        ("333", (1, 2, 2)): (ConeSwap(2, 3),), ("333", (2, 2, 2)): swaps[3],
+    }
+    assert list(expected) == list(ROWS)
+    for (family, betas), row in ROWS.items():
+        for b in (row.b_min, row.b_min + 1):
+            moves = available_moves(NilManifold(family, b, betas))
+            assert type(moves) is tuple
+            assert moves == expected[(family, betas)], (family, betas, b)
+    # the moves of one family only are built once, not per call
+    assert available_moves(NilManifold("T", 2))[2] is \
+        available_moves(NilManifold("T", 3))[2]
 
 
 def test_equivalence_classes_frozen():

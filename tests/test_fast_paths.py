@@ -25,31 +25,27 @@ def large_manifolds(draw):
     return NilManifold(family, draw(st.integers(row.b_min, 10 ** 12)), betas)
 
 
-def _kernels(m, transversals):
-    pres = fundamental_group(m.seifert())
-    for phi in enumerate_epis(m):
-        for transversal in transversals(pres, phi):
-            yield reidemeister_schreier(pres, phi.bits, transversal)
-
-
 @settings(max_examples=40, deadline=None)
 @given(large_manifolds())
 def test_kernel_invariants_match_abelianization_at_large_b(m):
-    # the oracle's transversal: with t = h no word grows with b
-    for sub in _kernels(m, lambda pres, phi: ["h" if phi.h else None]):
+    # the oracle's rewriting: with t = h no word grows with b
+    pres = fundamental_group(m.seifert())
+    for phi in enumerate_epis(m):
+        sub = reidemeister_schreier(pres, phi.bits)
         assert abelian_invariants(sub) == abelianization(sub).decomposition
 
 
 def test_kernel_invariants_match_abelianization_on_sweep(sweep16):
-    # the first phi = 1 generator and h, so relators of both shapes reach the
-    # elimination
-    def transversals(pres, phi):
-        return {pres.generators[phi.bits.index(1)], "h" if phi.h else None}
-
+    # every phi = 1 generator as transversal, through the letter-level
+    # reference, so relators of every shape reach the elimination
     for m in sweep16:
-        for sub in _kernels(m, transversals):
-            assert abelian_invariants(sub) == \
-                abelianization(sub).decomposition, m
+        pres = fundamental_group(m.seifert())
+        for phi in enumerate_epis(m):
+            for name, bit in zip(pres.generators, phi.bits):
+                if bit:
+                    sub = helpers.kernel_presentation(pres, phi.bits, name)
+                    assert abelian_invariants(sub) == \
+                        abelianization(sub).decomposition, (m, name)
 
 
 def test_enumerate_epis_matches_reference_on_sweep():

@@ -1,12 +1,12 @@
 import pytest
 
 from nilbu import (FinitePresentation, InvariantError, NilManifold,
-                   NotAHomomorphism, NotSurjective, abelianization,
-                   check_epimorphism, format_word, free_reduce,
-                   fundamental_group, reidemeister_schreier)
+                   NotAHomomorphism, NotSurjective, Z2Char, abelianization,
+                   check_epimorphism, double_cover, format_word, free_reduce,
+                   fundamental_group, h1, reidemeister_schreier)
 from nilbu.homology import abelian_invariants
 
-from helpers import inverse_word
+from helpers import inverse_word, kernel_presentation
 
 
 def test_free_reduce():
@@ -32,7 +32,6 @@ def test_presentation_validation():
     p = FinitePresentation(("a", "b"), (((1, 1), (1, -1), (2, 1)),))
     assert p.words == (((2, 1),),)
     assert p.relators == ((2,),)
-    assert p.index("b") == 2
 
 
 def test_format_word():
@@ -152,31 +151,37 @@ def test_rs_vertical_class_cover_homology():
 
 
 def test_rs_transversal_choice_does_not_change_homology():
+    # nilbu rewrites over one transversal; the reference over each of them
     m = NilManifold("2222", 0)
     p = fundamental_group(m.seifert())
     phi = (1, 1, 1, 1, 0)  # s1..s4, h
     default = abelianization(reidemeister_schreier(p, phi))
-    for name in ("s2", "s3", "s4"):
-        other = abelianization(reidemeister_schreier(p, phi, transversal=name))
+    assert kernel_presentation(p, phi) == reidemeister_schreier(p, phi)
+    for name in ("s1", "s2", "s3", "s4"):
+        other = abelianization(kernel_presentation(p, phi, name))
         assert other.decomposition == default.decomposition
 
 
-def test_rs_transversal_must_map_to_one():
+def test_rs_takes_no_transversal():
     p = fundamental_group(NilManifold("T", 2).seifert())
-    with pytest.raises(InvariantError):
-        reidemeister_schreier(p, (1, 0, 0), transversal="v2")
+    with pytest.raises(TypeError):
+        reidemeister_schreier(p, (1, 0, 0), "h")
+    with pytest.raises(TypeError):
+        reidemeister_schreier(p, (1, 0, 0), transversal="v1")
 
 
 def test_rs_default_transversal_is_bounded_in_b():
-    # phi(h) = 1: the default transversal is h, whose power h^-b rewrites to
-    # one syllable, so the kernel presentation has the same size at any b
-    def kernel(b, transversal=None):
+    # phi(h) = 1: the transversal is h, whose power h^-b rewrites to one
+    # syllable, so the kernel presentation has the same size at any b
+    def kernel(b):
         p = fundamental_group(NilManifold("333", b, (1, 1, 2)).seifert())
-        return reidemeister_schreier(p, (1, 1, 0, 1), transversal)
+        return reidemeister_schreier(p, (1, 1, 0, 1))
 
     def syllables(q):
         return sum(map(len, q.words))
 
     big = kernel(10 ** 12)
     assert syllables(big) == syllables(kernel(10 ** 3))
-    assert abelian_invariants(big) == abelian_invariants(kernel(10 ** 12, "h"))
+    m = NilManifold("333", 10 ** 12, (1, 1, 2))
+    cover = double_cover(m, Z2Char(m, (1, 1, 0, 1)))
+    assert abelian_invariants(big) == h1(cover).decomposition

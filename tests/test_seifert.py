@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from nilbu import (InvariantError, NilManifold, NotNil, OrientationError,
-                   ParseError, SeifertInvariant, b_min, cd_invariants,
-                   classify, euler_number, family_rows, is_nil, normalize,
-                   orbifold_euler_char, parse_family, parse_manifold,
-                   parse_seifert, reverse_orientation, sweep)
-from nilbu.seifert import ROWS
+from nilbu import (AbelianGroup, ConeSlide, ConeSwap, CoveringDescriptor,
+                   EpiClass, EpiClassPartition, FiberFlip, FinitePresentation,
+                   InvariantError, KleinSwap, NilManifold, NotNil,
+                   OrientationError, ParseError, SeifertInvariant, TorusShear,
+                   Z2Char, b_min, cd_invariants, classify, euler_number,
+                   family_rows, is_nil, normalize, orbifold_euler_char,
+                   parse_family, parse_manifold, parse_seifert,
+                   reverse_orientation, sweep)
+from nilbu.seifert import ROWS, FamilyRow, Record
 
 
 def test_normalize_carries_overflow_into_b():
@@ -181,6 +184,39 @@ def test_family_rows_and_sweep():
         assert is_nil(m.seifert())
         assert euler_number(m.seifert()) > 0
         assert classify(m.seifert()) == m
+
+
+def test_family_row_is_a_named_tuple():
+    row = ROWS[("236", (1, 5))]
+    assert type(row) is FamilyRow and isinstance(row, tuple)
+    assert FamilyRow._fields == ("pairs", "lcm", "c0", "b_min")
+    assert row == (((2, 1), (3, 1), (6, 5)), 6, 10, -1)
+    pairs, lcm, c0, low = row
+    assert (row.pairs, row.lcm, row.c0, row.b_min) == (pairs, lcm, c0, low)
+    assert repr(row) == ("FamilyRow(pairs=((2, 1), (3, 1), (6, 5)), lcm=6, "
+                         "c0=10, b_min=-1)")
+
+
+def test_plain_records_take_the_record_constructor():
+    plain = {AbelianGroup: 3, FiberFlip: 1, ConeSwap: 2, TorusShear: 1,
+             KleinSwap: 0, ConeSlide: 0, EpiClass: 1, EpiClassPartition: 2,
+             CoveringDescriptor: 4}
+    for cls, n in plain.items():
+        assert "__init__" not in vars(cls) and cls.__init__ is Record.__init__
+        values = tuple(range(n))
+        record = cls(*values)
+        assert tuple(getattr(record, f) for f in cls._fields) == values
+        for wrong in {values[:-1], values + (n,)} - {values}:
+            with pytest.raises(TypeError, match=r"^%s needs one value per "
+                               r"field \(%d\), got %d$"
+                               % (cls.__name__, n, len(wrong))):
+                cls(*wrong)
+        if n:
+            with pytest.raises(TypeError):
+                cls(**dict(zip(cls._fields, values)))
+    # the records that check their values keep their own constructor
+    for cls in (SeifertInvariant, NilManifold, FinitePresentation, Z2Char):
+        assert "__init__" in vars(cls)
 
 
 def test_parse_and_encode_round_trip():

@@ -55,8 +55,3 @@ def test_layers_match_letters(pres):
         got = reidemeister_schreier(pres, bits)
         assert (got.generators, got.relators) \
             == helpers.reidemeister_schreier(pres, bits)
-        for name, bit in zip(pres.generators, bits):
-            if bit:
-                got = reidemeister_schreier(pres, bits, transversal=name)
-                assert (got.generators, got.relators) \
-                    == helpers.reidemeister_schreier(pres, bits, name)
