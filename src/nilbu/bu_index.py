@@ -34,18 +34,15 @@ def index_is_one(m: NilManifold, phi: Z2Char) -> bool:
 def cup_cube_nonzero(m: NilManifold, phi: Z2Char) -> bool:
     """True iff phi^3 != 0 in H^3(m; Z2), the index-3 criterion."""
     validate_char(m, phi)
-    row = m.row
     eps, g_prime, _, _ = FAMILIES[m.family]
-    c = m.b * row.lcm + row.c0
-    d = sum(1 for a, _ in row.pairs if a % 2 == 0)
-    if d == 0:
+    if m.row.d == 0:
         if phi.h != 1:
             return False
         if eps == +1:
-            return c % 4 == 2
-        return (c + 2 * g_prime) % 4 == 2
+            return m.c % 4 == 2
+        return (m.c + 2 * g_prime) % 4 == 2
     total = sum(bit * (a // 2)
-                for bit, (a, _) in zip(phi.s, row.pairs) if a % 2 == 0)
+                for bit, (a, _) in zip(phi.s, m.row.pairs) if a % 2 == 0)
     return total % 2 == 1
 
 

@@ -20,8 +20,8 @@ from .coverings import (CoveringDescriptor, double_cover, quotients_of,
                         verify_cover)
 from .epimorphisms import char_for, enumerate_epis, equivalence_classes
 from .homology import AbelianGroup, h1
-from .seifert import (ROWS, NilError, NilManifold, ParseError, b_min,
-                      cd_invariants, euler_number, parse_manifold, sweep)
+from .seifert import (ROWS, NilError, NilManifold, ParseError, euler_number,
+                      parse_manifold, sweep)
 from .verify import verify_sweep
 
 
@@ -98,14 +98,13 @@ def _parse_phi(m: NilManifold, text: str):
 def cmd_classify(args) -> int:
     m = parse_manifold(args.manifold)
     inv = m.seifert()
-    c, d, _ = cd_invariants(inv)
+    e = euler_number(inv)
     lines = [m.encode(),
              "  seifert: %s" % inv.encode(),
-             "  e = %s" % euler_number(inv),
-             "  c = %d  d = %d  b_min = %d" % (c, d, b_min(inv.pairs))]
+             "  e = %s" % e,
+             "  c = %d  d = %d  b_min = %d" % (m.c, m.row.d, m.row.b_min)]
     obj = {"manifold": m.encode(), "seifert": inv.encode(),
-           "e": str(euler_number(inv)), "c": c, "d": d,
-           "b_min": b_min(inv.pairs)}
+           "e": str(e), "c": m.c, "d": m.row.d, "b_min": m.row.b_min}
     _emit(args, lines, obj)
     return 0
 
@@ -209,24 +208,22 @@ def cmd_table(args) -> int:
     lines = ["%-12s  %-8s  %s  %s" % ("family", "c", "d", "b_min")]
     for (family, betas), row in ROWS.items():
         lo = row.b_min
-        probe = NilManifold(family, lo, betas)
-        _, d, _ = cd_invariants(probe.seifert())
-        pattern = probe.encode().replace("(%d" % lo, "(b", 1)
+        pattern = NilManifold(family, lo, betas).encode().replace(
+            "(%d" % lo, "(b", 1)
         lines.append("%-12s  %-8s  %d  %d"
-                     % (pattern, _c_formula(row.lcm, row.c0), d, lo))
+                     % (pattern, _c_formula(row.lcm, row.c0), row.d, lo))
         rows_json.append({"family": family, "betas": list(betas),
                           "c_slope": row.lcm, "c_intercept": row.c0,
-                          "d": d, "b_min": lo})
+                          "d": row.d, "b_min": lo})
     entries_json = []
     lines.append("")
     lines.append("%-12s  %-5s  %s  %-6s  %s" % ("manifold", "c", "d", "e", "h1"))
     for m in sweep(args.b_max):
-        c, d, _ = cd_invariants(m.seifert())
         e = euler_number(m.seifert())
         g = h1(m)
         lines.append("%-12s  %-5d  %d  %-6s  %s"
-                     % (m.encode(), c, d, e, _group_text(g)))
-        entries_json.append({"manifold": m.encode(), "c": c, "d": d,
+                     % (m.encode(), m.c, m.row.d, e, _group_text(g)))
+        entries_json.append({"manifold": m.encode(), "c": m.c, "d": m.row.d,
                              "e": str(e), "free_rank": g.free_rank,
                              "torsion": list(g.torsion)})
     _emit(args, lines, {"rows": rows_json, "entries": entries_json})

@@ -86,13 +86,8 @@ def double_cover(m: NilManifold, phi: Z2Char) -> NilManifold:
             "333", (b + b1 + b2 + b3 - 6) // 2, (3 - b3, 3 - b2, 3 - b1))
     else:
         raise AssertionError("unknown family %r" % (fam,))
-    assert _euler_scales(phi.h, *_row_euler(m), *_row_euler(cover))
+    assert _euler_scales(phi.h, m.c, m.row.lcm, cover.c, cover.row.lcm)
     return cover
-
-
-def _row_euler(m: NilManifold) -> tuple[int, int]:
-    # (c, lcm) with e = c / lcm, read from m's family row
-    return m.b * m.row.lcm + m.row.c0, m.row.lcm
 
 
 def _euler_scales(h: int, c_m: int, l_m: int, c: int, l: int) -> bool:
@@ -133,7 +128,7 @@ def quotients_of(m: NilManifold) -> tuple[CoveringDescriptor, ...]:
 
     Each remaining class goes through double_cover.  Sorted by base encoding.
     """
-    c_m, l_m = _row_euler(m)
+    c_m, l_m = m.c, m.row.lcm
     found = []
     for (family, betas), row in ROWS.items():
         if row.lcm not in (l_m, 2 * l_m):

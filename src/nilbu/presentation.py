@@ -12,13 +12,13 @@ FinitePresentation.relators spells the relators out letter by letter (+k,
 -k) for tests that pin that form; nothing in the package reads it.  A mod-2
 assignment is a tuple of bits in generator order, each the int 0 or 1 and
 nothing else; odd_relator tests it against the parities of each relator's
-exponent sums, computed once per presentation, and epimorphism_bits runs
-through every nonzero assignment as an integer against the same parities.
+exponent sums, found as the presentation is validated, and epimorphism_bits
+runs through every nonzero assignment as an integer against the same parities.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .seifert import InvariantError, NilError, Record, SeifertInvariant
 
@@ -51,9 +51,14 @@ def letters(word) -> tuple[int, ...]:
 
 
 class FinitePresentation(Record):
-    """Generators by name, relators as syllable words, freely reduced on entry."""
+    """Generators by name, relators as syllable words, freely reduced on entry.
 
-    _fields = ("generators", "words")  # no __slots__: cached_property needs a __dict__
+    _odd_masks holds each relator's exponent-sum parities, bit k for generator
+    k+1, XORed up as __init__ checks the syllables (reduction keeps sums).
+    """
+
+    _fields = ("generators", "words")
+    __slots__ = _fields + ("_odd_masks",)
 
     def __init__(self, generators: tuple[str, ...], words: tuple[Word, ...]):
         names = tuple(generators)
@@ -62,26 +67,25 @@ class FinitePresentation(Record):
         object.__setattr__(self, "generators", names)
         g = len(names)
         reduced = []
+        masks = []
         for word in words:
             word = tuple(word)
+            odd = 0
             for gen, exp in word:
                 if type(gen) is not int or type(exp) is not int \
                         or not 1 <= gen <= g:
                     raise InvariantError("syllable %r references no generator"
                                          % ((gen, exp),))
+                odd ^= (exp & 1) << (gen - 1)
             reduced.append(free_reduce(word))
+            masks.append(odd)
         object.__setattr__(self, "words", tuple(reduced))
+        object.__setattr__(self, "_odd_masks", tuple(masks))
 
     @property
     def relators(self) -> tuple[tuple[int, ...], ...]:
         """The relators letter by letter; O(sum of |exponents|), for tests."""
         return tuple(map(letters, self.words))
-
-    @cached_property
-    def _odd_masks(self) -> tuple[int, ...]:
-        # bit k of a relator's mask: its exponent sum on generator k+1 is odd
-        return tuple(sum(1 << k for k, e in enumerate(row) if e % 2)
-                     for row in exponent_matrix(self))
 
     def odd_relator(self, bits) -> Word | None:
         """First relator with odd image under bits (one per generator), or None."""

@@ -72,7 +72,9 @@ class Record:
     A frozen dataclass without importing dataclasses: a subclass names its
     fields in __slots__ = _fields = (...), and Record.__init__ takes one
     value per field, in that order.  A subclass that checks its values
-    keeps its own __init__ and sets them with object.__setattr__.
+    keeps its own __init__ and sets them with object.__setattr__, and its
+    values derived from them in further __slots__, set once.  Fields alone
+    define equality, hash, repr and pickling (which calls __init__ again).
     """
 
     __slots__ = ()
@@ -238,16 +240,16 @@ def family_rows() -> list[tuple[str, tuple[int, ...]]]:
     return rows
 
 
-# one family row: its pairs, lcm(a_i), c0 (c = b*lcm + c0) and b_min
-FamilyRow = namedtuple("FamilyRow", ("pairs", "lcm", "c0", "b_min"))
+# one family row: its pairs, lcm(a_i), c0 (c = b*lcm + c0), b_min, d (even a_i)
+FamilyRow = namedtuple("FamilyRow", ("pairs", "lcm", "c0", "b_min", "d"))
 
 
 def _family_row(family: str, betas) -> FamilyRow:
     # the cones without a free beta come first and are order 2, beta = 1
     eps, g, orders, free = FAMILIES[family]
     pairs = tuple(zip(orders, (1,) * (len(orders) - len(free)) + betas))
-    c0, _, lcm = cd_invariants(SeifertInvariant(0, eps, g, pairs))
-    return FamilyRow(pairs, lcm, c0, b_min(pairs))
+    c0, d, lcm = cd_invariants(SeifertInvariant(0, eps, g, pairs))
+    return FamilyRow(pairs, lcm, c0, b_min(pairs), d)
 
 
 # (family, betas) -> FamilyRow, in family_rows() order; pairs come sorted
@@ -259,10 +261,12 @@ class NilManifold(Record):
 
     betas holds the free exceptional-fibre parameters of the family (order-2
     cones are forced to beta = 1 and carry none).  244 and 333 betas are kept
-    sorted; b must satisfy e > 0, i.e. b >= b_min of the family row.
+    sorted; b must satisfy e > 0, i.e. b >= b_min of the family row.  row is
+    that FamilyRow and c = e * lcm(a_i) = b * row.lcm + row.c0.
     """
 
-    __slots__ = _fields = ("family", "b", "betas")
+    _fields = ("family", "b", "betas")
+    __slots__ = _fields + ("row", "c")
 
     def __init__(self, family: str, b: int, betas: tuple[int, ...] = ()):
         if family not in FAMILIES:
@@ -281,17 +285,15 @@ class NilManifold(Record):
                 raise InvariantError(
                     "cone parameter %d invalid for order %d in family %s"
                     % (beta, a, family))
+        row = ROWS[(family, betas)]
+        if b < row.b_min:
+            raise InvariantError("b = %d below b_min = %d for family %s%r"
+                                 % (b, row.b_min, family, betas))
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "betas", betas)
-        if b < self.row.b_min:
-            raise InvariantError("b = %d below b_min = %d for family %s%r"
-                                 % (b, self.row.b_min, family, betas))
-
-    @property
-    def row(self) -> FamilyRow:
-        """The family row (pairs, lcm, c0, b_min) this manifold belongs to."""
-        return ROWS[(self.family, self.betas)]
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "c", b * row.lcm + row.c0)
 
     def seifert(self) -> SeifertInvariant:
         """Expand the family encoding to its normalized Seifert invariant."""
@@ -329,10 +331,13 @@ def classify(inv: SeifertInvariant) -> NilManifold:
 
 
 def sweep(depth: int = 16):
-    """Iterate every family row with b from b_min to b_min + depth."""
-    for (family, betas), row in ROWS.items():
-        for b in range(row.b_min, row.b_min + depth + 1):
-            yield NilManifold(family, b, betas)
+    """Every family row with b from b_min to b_min + depth, an int >= 0."""
+    if type(depth) is not int:  # bool is not a depth
+        raise TypeError("depth must be an int, got %r" % (depth,))
+    if depth < 0:
+        raise ValueError("depth must be >= 0, got %d" % depth)
+    return (NilManifold(family, b, betas) for (family, betas), row in ROWS.items()
+            for b in range(row.b_min, row.b_min + depth + 1))
 
 
 # whitespace may stand between tokens, never inside one; [0-9], because \d

@@ -31,8 +31,9 @@ def verify_manifold(m: seifert.NilManifold) -> dict:
         failures.append("%s: partition shape %r, expected %r"
                         % (tag, part.shape,
                            epimorphisms.expected_partition_shape(m)))
+    cover_of = {phi.bits: coverings.double_cover(m, phi) for phi in epis}
     for cls in part.classes:
-        covers = {coverings.double_cover(m, phi) for phi in cls.members}
+        covers = {cover_of[phi.bits] for phi in cls.members}
         if len(covers) != 1:
             failures.append("%s: class %s has several covers %r"
                             % (tag, cls.representative.describe(), covers))
@@ -41,7 +42,7 @@ def verify_manifold(m: seifert.NilManifold) -> dict:
             failures.append("%s: class %s has several indices %r"
                             % (tag, cls.representative.describe(), indices))
     for phi in epis:
-        cover = coverings.double_cover(m, phi)
+        cover = cover_of[phi.bits]
         if not coverings.verify_cover(m, phi, cover):
             failures.append("%s: oracle rejects cover %s for %s"
                             % (tag, cover.encode(), phi.describe()))

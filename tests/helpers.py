@@ -194,7 +194,7 @@ def quotients_of(m) -> tuple:
     the b that solves it (if any) names a base, and every class of that
     base goes through double_cover.  Sorted as nilbu.quotients_of sorts.
     """
-    c_m, l_m = m.b * m.row.lcm + m.row.c0, m.row.lcm
+    c_m, l_m = m.c, m.row.lcm
     found = []
     for (family, betas), row in ROWS.items():
         for k in (1, 4):

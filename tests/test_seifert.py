@@ -189,12 +189,12 @@ def test_family_rows_and_sweep():
 def test_family_row_is_a_named_tuple():
     row = ROWS[("236", (1, 5))]
     assert type(row) is FamilyRow and isinstance(row, tuple)
-    assert FamilyRow._fields == ("pairs", "lcm", "c0", "b_min")
-    assert row == (((2, 1), (3, 1), (6, 5)), 6, 10, -1)
-    pairs, lcm, c0, low = row
-    assert (row.pairs, row.lcm, row.c0, row.b_min) == (pairs, lcm, c0, low)
+    assert FamilyRow._fields == ("pairs", "lcm", "c0", "b_min", "d")
+    assert row == (((2, 1), (3, 1), (6, 5)), 6, 10, -1, 2)
+    pairs, lcm, c0, low, d = row
+    assert (row.pairs, row.lcm, row.c0, row.b_min, row.d) == (pairs, lcm, c0, low, d)
     assert repr(row) == ("FamilyRow(pairs=((2, 1), (3, 1), (6, 5)), lcm=6, "
-                         "c0=10, b_min=-1)")
+                         "c0=10, b_min=-1, d=2)")
 
 
 def test_plain_records_take_the_record_constructor():
