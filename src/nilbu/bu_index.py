@@ -1,7 +1,9 @@
 """Z2-index of a free involution pair via cohomological criteria.
 
 The pair is (m, phi): a Nil manifold together with the epimorphism cutting
-out the double cover.  The index is 1, 2 or 3:
+out the double cover.  phi carries m, so the criteria take phi alone; the
+catalogs still take the pair and check that phi belongs to m.  The index is
+1, 2 or 3:
 
   * index 1 iff phi factors through the free quotient of H1 (equivalently,
     phi kills the torsion subgroup), which is when the classifying map
@@ -25,15 +27,14 @@ from .homology import h1, torsion_subgroup_killed_by
 from .seifert import FAMILIES, NilManifold
 
 
-def index_is_one(m: NilManifold, phi: Z2Char) -> bool:
+def index_is_one(phi: Z2Char) -> bool:
     """True iff the pair has Z2-index 1: phi kills the torsion of H1."""
-    validate_char(m, phi)
-    return torsion_subgroup_killed_by(phi.bits, h1(m))
+    return torsion_subgroup_killed_by(phi.bits, h1(phi.manifold))
 
 
-def cup_cube_nonzero(m: NilManifold, phi: Z2Char) -> bool:
+def cup_cube_nonzero(phi: Z2Char) -> bool:
     """True iff phi^3 != 0 in H^3(m; Z2), the index-3 criterion."""
-    validate_char(m, phi)
+    m = phi.manifold
     eps, g_prime, _, _ = FAMILIES[m.family]
     if m.row.d == 0:
         if phi.h != 1:
@@ -46,10 +47,10 @@ def cup_cube_nonzero(m: NilManifold, phi: Z2Char) -> bool:
     return total % 2 == 1
 
 
-def z2_index(m: NilManifold, phi: Z2Char) -> int:
-    """The Z2-index of (m, phi): 1, 2 or 3."""
-    one = index_is_one(m, phi)
-    three = cup_cube_nonzero(m, phi)
+def z2_index(phi: Z2Char) -> int:
+    """The Z2-index of (phi.manifold, phi): 1, 2 or 3."""
+    one = index_is_one(phi)
+    three = cup_cube_nonzero(phi)
     assert not (one and three), "index criteria must exclude each other"
     if one:
         return 1
@@ -89,9 +90,10 @@ def index_three_case(m: NilManifold, phi: Z2Char) -> str | None:
     return None
 
 
-def index_report(m: NilManifold, phi: Z2Char) -> dict:
+def index_report(phi: Z2Char) -> dict:
     """Index with its criterion trace, for the command line."""
-    index = z2_index(m, phi)
+    m = phi.manifold
+    index = z2_index(phi)
     catalog = index_one_case(m, phi) if index == 1 else \
         index_three_case(m, phi) if index == 3 else None
     return {

@@ -147,9 +147,9 @@ def cmd_epis(args) -> int:
 def cmd_cover(args) -> int:
     m = parse_manifold(args.manifold)
     phi = _parse_phi(m, args.phi)
-    cover = double_cover(m, phi)
-    desc = CoveringDescriptor(m, phi, cover, z2_index(m, phi))
-    checked = verify_cover(m, phi, cover)
+    cover = double_cover(phi)
+    desc = CoveringDescriptor(phi, cover, z2_index(phi))
+    checked = verify_cover(phi, cover)
     lines = ["base:  %s" % m.encode(),
              "phi:   %s" % phi.describe(),
              "cover: %s" % cover.encode(),
@@ -163,7 +163,7 @@ def cmd_cover(args) -> int:
 def cmd_index(args) -> int:
     m = parse_manifold(args.manifold)
     phi = _parse_phi(m, args.phi)
-    report = index_report(m, phi)
+    report = index_report(phi)
     lines = ["index(%s, %s) = %d" % (m.encode(), phi.describe(), report["index"]),
              "  kills torsion: %s" % ("yes" if report["kills_torsion"] else "no"),
              "  cup cube nonzero: %s" % ("yes" if report["cup_cube_nonzero"] else "no")]

@@ -1,12 +1,13 @@
 """Double covers of Nil manifolds and the classification of free involutions.
 
 double_cover computes the Seifert data of the cover cut out by an epimorphism
-phi: pi_1 -> Z2 in closed form per family, and asserts e(cover) =
-2^(1 - 2 phi(h)) e(base) on the integers (c, lcm), e = c / lcm, of the family
-rows.  verify_cover, the independent oracle, rewrites the fundamental group
-to the index-2 subgroup presentation (Reidemeister-Schreier), compares its
-invariant factors with H1 of the claimed cover and checks the Euler relation
-on (c, lcm) from the Seifert invariants.  quotients_of inverts double_cover
+phi: pi_1(m) -> Z2, reading m from phi.manifold, in closed form per family,
+and asserts e(cover) = 2^(1 - 2 phi(h)) e(base) on the integers (c, lcm),
+e = c / lcm, of the family rows.  verify_cover, the independent oracle,
+rewrites the fundamental group to the index-2 subgroup presentation
+(Reidemeister-Schreier), compares its invariant factors with H1 of the
+claimed cover and checks the Euler relation on (c, lcm) from the Seifert
+invariants.  quotients_of inverts double_cover
 over the finitely many candidate bases, which reproduces the known involution
 diagrams; those diagrams are also transcribed here (expected_quotient_diagram)
 so the two routes can be compared mechanically.
@@ -21,16 +22,20 @@ fixes phi(h) once e(base) and e(cover) are known.
 from __future__ import annotations
 
 from . import bu_index
-from .epimorphisms import Z2Char, equivalence_classes, validate_char
+from .epimorphisms import Z2Char, equivalence_classes
 from .homology import abelian_invariants, h1
 from .presentation import fundamental_group, reidemeister_schreier
 from .seifert import ROWS, NilManifold, Record, cd_invariants
 
 
 class CoveringDescriptor(Record):
-    """One free involution: base manifold, class representative, cover, index."""
+    """One free involution: class representative, cover, index."""
 
-    __slots__ = _fields = ("base", "phi", "cover", "index")
+    __slots__ = _fields = ("phi", "cover", "index")
+
+    @property
+    def base(self) -> NilManifold:
+        return self.phi.manifold
 
     def to_json_dict(self) -> dict:
         return {"base": self.base.encode(),
@@ -39,14 +44,13 @@ class CoveringDescriptor(Record):
                 "index": self.index}
 
 
-def double_cover(m: NilManifold, phi: Z2Char) -> NilManifold:
-    """Seifert data of the double cover of m classified by phi.
+def double_cover(phi: Z2Char) -> NilManifold:
+    """Seifert data of the double cover of phi.manifold classified by phi.
 
-    phi must be an epimorphism of pi_1(m) (InvalidCharacter otherwise).  The
-    result is always a valid Nil manifold, and its Euler number doubles or
-    halves according to phi(h).
+    The result is always a valid Nil manifold, and its Euler number doubles
+    or halves according to phi(h).
     """
-    validate_char(m, phi)
+    m = phi.manifold
     b = m.b
     fam = m.family
     if fam == "T":
@@ -80,12 +84,10 @@ def double_cover(m: NilManifold, phi: Z2Char) -> NilManifold:
             cover = NilManifold("244", 2 * b + (b2 + 1) // 2, (b3, b3))
         else:
             cover = NilManifold("244", 2 * b + (b3 + 1) // 2, (b2, b2))
-    elif fam == "333":
+    else:  # 333
         b1, b2, b3 = m.betas
         cover = NilManifold(
             "333", (b + b1 + b2 + b3 - 6) // 2, (3 - b3, 3 - b2, 3 - b1))
-    else:
-        raise AssertionError("unknown family %r" % (fam,))
     assert _euler_scales(phi.h, m.c, m.row.lcm, cover.c, cover.row.lcm)
     return cover
 
@@ -95,15 +97,14 @@ def _euler_scales(h: int, c_m: int, l_m: int, c: int, l: int) -> bool:
     return 2 ** h * c * l_m == 2 ** (1 - h) * c_m * l
 
 
-def verify_cover(m: NilManifold, phi: Z2Char, claimed: NilManifold) -> bool:
+def verify_cover(phi: Z2Char, claimed: NilManifold) -> bool:
     """Oracle check of a claimed double cover, independent of double_cover.
 
-    Rewrites pi_1(m) to the kernel presentation, abelianizes, and compares
-    invariant factors with h1(claimed); also checks the Euler number
+    Rewrites pi_1(phi.manifold) to the kernel presentation, abelianizes, and
+    compares invariant factors with h1(claimed); also checks the Euler number
     relation on the Seifert invariants' (c, lcm).  True iff both hold.
     """
-    validate_char(m, phi)
-    inv = m.seifert()
+    inv = phi.manifold.seifert()
     sub = reidemeister_schreier(fundamental_group(inv), phi.bits)
     c_m, _, l_m = cd_invariants(inv)
     c, _, l = cd_invariants(claimed.seifert())
@@ -141,9 +142,9 @@ def quotients_of(m: NilManifold) -> tuple[CoveringDescriptor, ...]:
             base = NilManifold(family, b_cand, betas)
             for cls in equivalence_classes(base).classes:
                 rep = cls.representative
-                if rep.h == h and double_cover(base, rep) == m:
+                if rep.h == h and double_cover(rep) == m:
                     found.append(CoveringDescriptor(
-                        base, rep, m, bu_index.z2_index(base, rep)))
+                        rep, m, bu_index.z2_index(rep)))
     found.sort(key=lambda d: (d.base.encode(), d.phi.bits))
     return tuple(found)
 

@@ -3,9 +3,9 @@
 A character (Z2Char) is an epimorphism of one manifold: a bit per generator
 of its standard presentation, in the order s_1..s_n, v_1..v_g', h.  It is
 checked when it is made (char_for, with_bits and enumerate_epis all build
-through that check), so a layer given one only confirms it is a character of
-its manifold.  Two epimorphisms determine equivalent double covers (the same
-free involution up to conjugacy) when one is carried to the other by one of
+through that check), and it carries its manifold, so a layer given one reads
+the manifold from it.  Two epimorphisms determine equivalent double covers
+(the same free involution up to conjugacy) when one is carried to the other by one of
 five induced automorphism moves; the orbit closure under those moves is a
 breadth-first search over bit tuples among the checked epimorphisms.  All
 orderings are deterministic: characters are compared by their bit tuple.
@@ -137,14 +137,13 @@ class ConeSlide(Record):
 MoveSpec = FiberFlip | ConeSwap | TorusShear | KleinSwap | ConeSlide
 
 
-def apply_move(phi: Z2Char, move: MoveSpec, m: NilManifold) -> Z2Char:
-    """Image of phi under one induced automorphism move.
+def apply_move(phi: Z2Char, move: MoveSpec) -> Z2Char:
+    """Image of phi under one induced automorphism move of its manifold.
 
     Raises MoveNotApplicable when the move's hypotheses fail; the result is
     always again an epimorphism (with_bits checks it).
     """
-    validate_char(m, phi)
-    return phi.with_bits(_move_bits(phi.bits, move, m))
+    return phi.with_bits(_move_bits(phi.bits, move, phi.manifold))
 
 
 def _move_bits(bits, move: MoveSpec, m: NilManifold) -> tuple[int, ...]:
@@ -284,9 +283,7 @@ def expected_epi_count(m: NilManifold) -> int:
         return 1
     if fam == "244":
         return 3
-    if fam == "333":
-        return 1 if (b + sum(m.betas)) % 2 == 0 else 0
-    raise NilError("unknown family %r" % (fam,))
+    return 1 if (b + sum(m.betas)) % 2 == 0 else 0  # 333
 
 
 def expected_partition_shape(m: NilManifold) -> tuple[int, ...]:
@@ -305,6 +302,4 @@ def expected_partition_shape(m: NilManifold) -> tuple[int, ...]:
     if fam == "244":
         b2, b3 = m.betas
         return (1, 2) if b2 == b3 else (1, 1, 1)
-    if fam == "333":
-        return (1,) if (b + sum(m.betas)) % 2 == 0 else ()
-    raise NilError("unknown family %r" % (fam,))
+    return (1,) if (b + sum(m.betas)) % 2 == 0 else ()  # 333

@@ -275,10 +275,8 @@ def h1_closed_form(m: NilManifold) -> tuple[int, tuple[int, ...]]:
     if m.family == "244":
         b2, b3 = m.betas
         return (0, (2, 4 * (4 * b + 2 + b2 + b3)))
-    if m.family == "333":
-        c = 3 * b + sum(m.betas)
-        return (0, (3, 3 * c))
-    raise InvariantError("unknown family %r" % (m.family,))
+    c = 3 * b + sum(m.betas)  # 333
+    return (0, (3, 3 * c))
 
 
 def h1_stated_relations(m: NilManifold) -> list[dict]:
@@ -322,8 +320,6 @@ def h1_stated_relations(m: NilManifold) -> list[dict]:
                 {"s3": 1, "s1": 2 * b + 1, "s2": 1},
                 {"s1": 2 * c},
                 {"s2": 4 * c, "s1": -4 * c}]
-    if fam == "333":
-        c = 3 * b + sum(m.betas)
-        return [{"s3": 1, "s1": 1, "s2": 1, "h": -b},
-                {"h": c}, {"s1": 3 * c}, {"s2": 3 * c}]
-    raise InvariantError("unknown family %r" % (fam,))
+    c = 3 * b + sum(m.betas)  # 333
+    return [{"s3": 1, "s1": 1, "s2": 1, "h": -b},
+            {"h": c}, {"s1": 3 * c}, {"s2": 3 * c}]

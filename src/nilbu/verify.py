@@ -31,26 +31,26 @@ def verify_manifold(m: seifert.NilManifold) -> dict:
         failures.append("%s: partition shape %r, expected %r"
                         % (tag, part.shape,
                            epimorphisms.expected_partition_shape(m)))
-    cover_of = {phi.bits: coverings.double_cover(m, phi) for phi in epis}
+    cover_of = {phi.bits: coverings.double_cover(phi) for phi in epis}
     for cls in part.classes:
         covers = {cover_of[phi.bits] for phi in cls.members}
         if len(covers) != 1:
             failures.append("%s: class %s has several covers %r"
                             % (tag, cls.representative.describe(), covers))
-        indices = {bu_index.z2_index(m, phi) for phi in cls.members}
+        indices = {bu_index.z2_index(phi) for phi in cls.members}
         if len(indices) != 1:
             failures.append("%s: class %s has several indices %r"
                             % (tag, cls.representative.describe(), indices))
     for phi in epis:
         cover = cover_of[phi.bits]
-        if not coverings.verify_cover(m, phi, cover):
+        if not coverings.verify_cover(phi, cover):
             failures.append("%s: oracle rejects cover %s for %s"
                             % (tag, cover.encode(), phi.describe()))
-        if bu_index.index_is_one(m, phi) != \
+        if bu_index.index_is_one(phi) != \
                 (bu_index.index_one_case(m, phi) is not None):
             failures.append("%s: index-1 criterion vs catalog mismatch for %s"
                             % (tag, phi.describe()))
-        if bu_index.cup_cube_nonzero(m, phi) != \
+        if bu_index.cup_cube_nonzero(phi) != \
                 (bu_index.index_three_case(m, phi) is not None):
             failures.append("%s: index-3 criterion vs catalog mismatch for %s"
                             % (tag, phi.describe()))

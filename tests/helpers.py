@@ -174,7 +174,7 @@ def equivalence_classes(m) -> EpiClassPartition:
             phi = frontier.pop()
             for move in moves:
                 try:
-                    image = apply_move(phi, move, m)
+                    image = apply_move(phi, move)
                 except MoveNotApplicable:
                     continue
                 if image.bits not in orbit:
@@ -205,9 +205,8 @@ def quotients_of(m) -> tuple:
             base = NilManifold(family, b_cand, betas)
             for cls in nilbu.equivalence_classes(base).classes:
                 rep = cls.representative
-                if double_cover(base, rep) == m:
-                    found.append(CoveringDescriptor(
-                        base, rep, m, z2_index(base, rep)))
+                if double_cover(rep) == m:
+                    found.append(CoveringDescriptor(rep, m, z2_index(rep)))
     found.sort(key=lambda d: (d.base.encode(), d.phi.bits))
     return tuple(found)
 

@@ -140,7 +140,7 @@ def test_criterion_4_covering_formulas(sweep16):
     for m in sweep16:
         for cls in equivalence_classes(m).classes:
             rep = cls.representative
-            assert double_cover(m, rep) == _stated_cover(m, rep), \
+            assert double_cover(rep) == _stated_cover(m, rep), \
                 (m.encode(), rep.describe())
 
 
@@ -150,8 +150,8 @@ def test_criterion_5_covering_oracle(sweep16):
     for m in sweep16:
         e = euler_number(m.seifert())
         for phi in enumerate_epis(m):
-            cover = double_cover(m, phi)
-            assert verify_cover(m, phi, cover), (m.encode(), phi.describe())
+            cover = double_cover(phi)
+            assert verify_cover(phi, cover), (m.encode(), phi.describe())
             scale = Fraction(1, 2) if phi.h else Fraction(2)
             assert euler_number(cover.seifert()) == scale * e
 
@@ -161,14 +161,14 @@ def test_criterion_6_index_criteria_two_way(sweep16):
     """Generic index criteria coincide with the per-family catalogs."""
     for m in sweep16:
         for phi in enumerate_epis(m):
-            one = index_is_one(m, phi)
-            three = cup_cube_nonzero(m, phi)
+            one = index_is_one(phi)
+            three = cup_cube_nonzero(phi)
             assert not (one and three), (m.encode(), phi.describe())
             assert one == (index_one_case(m, phi) is not None), \
                 (m.encode(), phi.describe())
             assert three == (index_three_case(m, phi) is not None), \
                 (m.encode(), phi.describe())
-            assert z2_index(m, phi) == (1 if one else 3 if three else 2)
+            assert z2_index(phi) == (1 if one else 3 if three else 2)
 
 
 @criterion(7)
@@ -182,7 +182,7 @@ def test_criterion_7_involution_diagrams(sweep16):
             assert got == ()
         for d in quotients_of(m):
             assert d.cover == m
-            assert double_cover(d.base, d.phi) == m
+            assert double_cover(d.phi) == m
 
 
 @criterion(8)
@@ -223,15 +223,15 @@ def test_criterion_8_property_suites(sweep16):
         assert reverse_orientation(reverse_orientation(m.seifert())) == m.seifert()
         moves = available_moves(m)
         for cls in equivalence_classes(m).classes:
-            cover = double_cover(m, cls.representative)
-            index = z2_index(m, cls.representative)
+            cover = double_cover(cls.representative)
+            index = z2_index(cls.representative)
             for phi in cls.members:
-                assert double_cover(m, phi) == cover
-                assert z2_index(m, phi) == index
+                assert double_cover(phi) == cover
+                assert z2_index(phi) == index
                 for move in moves:
                     try:
-                        image = apply_move(phi, move, m)
+                        image = apply_move(phi, move)
                     except MoveNotApplicable:
                         continue
-                    assert double_cover(m, image) == cover
-                    assert z2_index(m, image) == index
+                    assert double_cover(image) == cover
+                    assert z2_index(image) == index

@@ -2,11 +2,11 @@ import pytest
 
 from nilbu import (InvalidCharacter, NilManifold, char_for, double_cover,
                    enumerate_epis, euler_number, expected_quotient_diagram,
-                   quotients_of, verify_cover, z2_index)
+                   quotients_of, sweep, verify_cover)
 
 
 def _cover(m, s=(), v=(), h=0):
-    return double_cover(m, char_for(m, s=s, v=v, h=h))
+    return double_cover(char_for(m, s=s, v=v, h=h))
 
 
 def test_torus_bundle_covers():
@@ -60,7 +60,7 @@ def test_cover_euler_number_scaling():
               NilManifold("244", 0, (1, 3))]:
         e = euler_number(m.seifert())
         for phi in enumerate_epis(m):
-            cover = double_cover(m, phi)
+            cover = double_cover(phi)
             expected = e / 2 if phi.h else 2 * e
             assert euler_number(cover.seifert()) == expected
 
@@ -68,44 +68,31 @@ def test_cover_euler_number_scaling():
 def test_double_cover_rejects_bad_characters():
     m = NilManifold("T", 3)
     with pytest.raises(InvalidCharacter):
-        double_cover(m, char_for(m, v=(0, 0), h=0))
+        double_cover(char_for(m, v=(0, 0), h=0))
     with pytest.raises(InvalidCharacter):
-        double_cover(m, char_for(m, v=(0, 0), h=1))
-
-
-def test_layers_reject_a_character_of_another_manifold():
-    # T(5)'s and T(7)'s characters are epimorphisms of their own groups and
-    # have T(3)'s generator names; they still belong to another manifold
-    m = NilManifold("T", 3)
-    with pytest.raises(InvalidCharacter):
-        double_cover(m, char_for(NilManifold("T", 5), v=(1, 0), h=0))
-    with pytest.raises(InvalidCharacter):
-        z2_index(m, char_for(NilManifold("T", 7), v=(1, 1), h=0))
-    with pytest.raises(InvalidCharacter):
-        verify_cover(m, char_for(NilManifold("T", 5), v=(1, 0), h=0),
-                     NilManifold("T", 6))
+        double_cover(char_for(m, v=(0, 0), h=1))
 
 
 def test_verify_cover_accepts_truth():
     m = NilManifold("T", 3)
     phi = char_for(m, v=(0, 1), h=0)
-    assert verify_cover(m, phi, NilManifold("T", 6))
+    assert verify_cover(phi, NilManifold("T", 6))
     k = NilManifold("K", 2)
     tau = char_for(k, v=(0, 0), h=1)
-    assert verify_cover(k, tau, NilManifold("K", 1))
+    assert verify_cover(tau, NilManifold("K", 1))
 
 
 def test_verify_cover_rejects_wrong_homology():
     m = NilManifold("T", 3)
     phi = char_for(m, v=(0, 1), h=0)
-    assert not verify_cover(m, phi, NilManifold("T", 12))
+    assert not verify_cover(phi, NilManifold("T", 12))
 
 
 def test_verify_cover_rejects_wrong_euler_number():
     # K(1) and K(3) have the same H1, so only the Euler check separates them
     k = NilManifold("K", 2)
     tau = char_for(k, v=(0, 0), h=1)
-    assert not verify_cover(k, tau, NilManifold("K", 3))
+    assert not verify_cover(tau, NilManifold("K", 3))
 
 
 def test_quotient_search_torus_bundles():
@@ -114,7 +101,7 @@ def test_quotient_search_torus_bundles():
     d, = descs
     assert d.cover == NilManifold("T", 1)
     assert d.phi.bits == (0, 0, 1)
-    assert double_cover(d.base, d.phi) == d.cover
+    assert double_cover(d.phi) == d.cover
     assert d.to_json_dict() == {"base": "T(2)",
                                 "phi": {"s": [], "v": [0, 0], "h": 1},
                                 "cover": "T(1)", "index": 3}
@@ -171,3 +158,10 @@ def test_expected_diagram_matches_search(sweep16):
     for m in sweep16[:60]:
         got = tuple((d.base, d.index) for d in quotients_of(m))
         assert got == expected_quotient_diagram(m), m.encode()
+
+
+def test_a_descriptor_reads_its_base_from_its_character():
+    for m in sweep(8):
+        for d in quotients_of(m):
+            assert d.base is d.phi.manifold
+            assert d.to_json_dict()["base"] == d.phi.manifold.encode()

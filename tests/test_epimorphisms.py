@@ -100,68 +100,68 @@ def test_epi_count_matches_closed_form_and_rank(sweep16):
 def test_fiber_flip():
     m = NilManifold("T", 2)
     phi = char_for(m, v=(0, 0), h=1)
-    assert apply_move(phi, FiberFlip((1,)), m).bits == (1, 0, 1)
-    assert apply_move(phi, FiberFlip((1, 2)), m).bits == (1, 1, 1)
+    assert apply_move(phi, FiberFlip((1,))).bits == (1, 0, 1)
+    assert apply_move(phi, FiberFlip((1, 2))).bits == (1, 1, 1)
     with pytest.raises(MoveNotApplicable):
-        apply_move(char_for(m, v=(1, 0), h=0), FiberFlip((1,)), m)
+        apply_move(char_for(m, v=(1, 0), h=0), FiberFlip((1,)))
     with pytest.raises(MoveNotApplicable):
-        apply_move(phi, FiberFlip((3,)), m)
+        apply_move(phi, FiberFlip((3,)))
     with pytest.raises(MoveNotApplicable):
-        apply_move(phi, FiberFlip((1, 1)), m)
+        apply_move(phi, FiberFlip((1, 1)))
 
 
 def test_cone_swap():
     m = NilManifold("2222", 0)
     phi = char_for(m, s=(1, 0, 0, 1), h=0)
-    assert apply_move(phi, ConeSwap(1, 2), m).bits == (0, 1, 0, 1, 0)
+    assert apply_move(phi, ConeSwap(1, 2)).bits == (0, 1, 0, 1, 0)
     q = NilManifold("244", 0, (1, 3))
     psi = char_for(q, s=(0, 1, 1), h=0)
     with pytest.raises(MoveNotApplicable):
-        apply_move(psi, ConeSwap(2, 3), q)  # (4,1) vs (4,3)
+        apply_move(psi, ConeSwap(2, 3))  # (4,1) vs (4,3)
     with pytest.raises(MoveNotApplicable):
-        apply_move(phi, ConeSwap(1, 1), m)
+        apply_move(phi, ConeSwap(1, 1))
     with pytest.raises(MoveNotApplicable):
-        apply_move(phi, ConeSwap(0, 5), m)
+        apply_move(phi, ConeSwap(0, 5))
 
 
 def test_torus_shear():
     m = NilManifold("T", 3)
     phi = char_for(m, v=(1, 0), h=0)
-    assert apply_move(phi, TorusShear(1), m).bits == (1, 1, 0)
-    assert apply_move(char_for(m, v=(1, 1), h=0), TorusShear(2), m).bits == \
+    assert apply_move(phi, TorusShear(1)).bits == (1, 1, 0)
+    assert apply_move(char_for(m, v=(1, 1), h=0), TorusShear(2)).bits == \
         (0, 1, 0)
     with pytest.raises(MoveNotApplicable):
-        apply_move(char_for(m, v=(0, 1), h=0), TorusShear(1), m)
+        apply_move(char_for(m, v=(0, 1), h=0), TorusShear(1))
     with pytest.raises(MoveNotApplicable):
-        apply_move(phi, TorusShear(3), m)
+        apply_move(phi, TorusShear(3))
     k = NilManifold("K", 3)
     with pytest.raises(MoveNotApplicable):
-        apply_move(char_for(k, v=(1, 0), h=0), TorusShear(1), k)
+        apply_move(char_for(k, v=(1, 0), h=0), TorusShear(1))
 
 
 def test_klein_swap():
     m = NilManifold("K", 1)
     phi = char_for(m, v=(1, 0), h=0)
-    assert apply_move(phi, KleinSwap(), m).bits == (0, 1, 0)
+    assert apply_move(phi, KleinSwap()).bits == (0, 1, 0)
     with pytest.raises(MoveNotApplicable):
-        apply_move(char_for(m, v=(1, 1), h=0), KleinSwap(), m)
+        apply_move(char_for(m, v=(1, 1), h=0), KleinSwap())
     t = NilManifold("T", 1)
     with pytest.raises(MoveNotApplicable):
-        apply_move(char_for(t, v=(1, 0), h=0), KleinSwap(), t)
+        apply_move(char_for(t, v=(1, 0), h=0), KleinSwap())
 
 
 def test_cone_slide():
     m = NilManifold("22", 0)
     phi = char_for(m, s=(1, 1), v=(0,), h=0)
-    assert apply_move(phi, ConeSlide(), m).bits == (1, 1, 1, 0)
+    assert apply_move(phi, ConeSlide()).bits == (1, 1, 1, 0)
     with pytest.raises(MoveNotApplicable):
-        apply_move(char_for(m, s=(0, 0), v=(1,), h=0), ConeSlide(), m)
+        apply_move(char_for(m, s=(0, 0), v=(1,), h=0), ConeSlide())
 
 
 def test_apply_move_requires_valid_epimorphism():
     m = NilManifold("T", 3)
     with pytest.raises(InvalidCharacter):
-        apply_move(char_for(m, v=(0, 0), h=1), TorusShear(1), m)
+        apply_move(char_for(m, v=(0, 0), h=1), TorusShear(1))
 
 
 def test_available_moves():
@@ -238,6 +238,6 @@ def test_distinct_classes_are_separated(sweep16):
         seen = {}
         for cls in equivalence_classes(m).classes:
             rep = cls.representative
-            key = (double_cover(m, rep), z2_index(m, rep))
+            key = (double_cover(rep), z2_index(rep))
             assert key not in seen, (m.encode(), rep.describe(), key)
             seen[key] = cls

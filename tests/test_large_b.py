@@ -31,7 +31,7 @@ def large_manifolds(draw):
 @given(large_manifolds())
 def test_oracle_and_closed_forms_at_large_b(m):
     for phi in enumerate_epis(m):
-        assert verify_cover(m, phi, double_cover(m, phi)), phi
+        assert verify_cover(phi, double_cover(phi)), phi
     assert h1(m).decomposition == h1_closed_form(m)
     got = tuple((d.base, d.index) for d in quotients_of(m))
     assert got == expected_quotient_diagram(m)
@@ -58,7 +58,7 @@ def test_cli_at_b_ten_to_the_twelve(capsys, text):
         == h1_closed_form(m)
     code, obj = run_json(capsys, "cover", text, "--phi", "0")
     assert code == 0 and obj["verified"] is True
-    assert obj["cover"] == double_cover(m, enumerate_epis(m)[0]).encode()
+    assert obj["cover"] == double_cover(enumerate_epis(m)[0]).encode()
     code, obj = run_json(capsys, "index", text, "--phi", "0")
     assert code == 0 and obj["index"] in (1, 2, 3)
     code, obj = run_json(capsys, "involutions", text)

@@ -183,5 +183,5 @@ def test_rs_default_transversal_is_bounded_in_b():
     big = kernel(10 ** 12)
     assert syllables(big) == syllables(kernel(10 ** 3))
     m = NilManifold("333", 10 ** 12, (1, 1, 2))
-    cover = double_cover(m, Z2Char(m, (1, 1, 0, 1)))
+    cover = double_cover(Z2Char(m, (1, 1, 0, 1)))
     assert abelian_invariants(big) == h1(cover).decomposition

@@ -41,7 +41,7 @@ def large_covers(draw):
     if not classes:
         return base
     rep = draw(st.sampled_from(classes)).representative
-    return coverings.double_cover(base, rep)
+    return coverings.double_cover(rep)
 
 
 @settings(max_examples=60, deadline=None)
@@ -59,8 +59,8 @@ def test_search_tries_only_candidates_that_obey_both_rules(monkeypatch):
         bases.append(base)
         return classes_of(base)
 
-    def recording_cover(base, phi):
-        cover = cover_of(base, phi)
+    def recording_cover(phi):
+        cover = cover_of(phi)
         covers.append(cover)
         return cover
 

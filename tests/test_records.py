@@ -53,8 +53,8 @@ CASES = {
     EpiClassPartition: (lambda: EpiClassPartition(_t2(), (_cls((1, 0)),)),
                         lambda: EpiClassPartition(_t2(), (_cls((0, 1)),))),
     CoveringDescriptor: (
-        lambda: CoveringDescriptor(_t2(), _char((1, 0)), NilManifold("T", 4), 2),
-        lambda: CoveringDescriptor(_t2(), _char((1, 0)), NilManifold("T", 4), 3)),
+        lambda: CoveringDescriptor(_char((1, 0)), NilManifold("T", 4), 2),
+        lambda: CoveringDescriptor(_char((1, 0)), NilManifold("T", 4), 3)),
 }
 
 RECORDS = pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)

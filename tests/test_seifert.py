@@ -200,7 +200,7 @@ def test_family_row_is_a_named_tuple():
 def test_plain_records_take_the_record_constructor():
     plain = {AbelianGroup: 3, FiberFlip: 1, ConeSwap: 2, TorusShear: 1,
              KleinSwap: 0, ConeSlide: 0, EpiClass: 1, EpiClassPartition: 2,
-             CoveringDescriptor: 4}
+             CoveringDescriptor: 3}
     for cls, n in plain.items():
         assert "__init__" not in vars(cls) and cls.__init__ is Record.__init__
         values = tuple(range(n))

@@ -47,15 +47,15 @@ CASES = {
         ["T(1): partition shape (3,), expected (1, 2)"]),
     # the oracle checks every cover double_cover gives, so it objects too
     "double_cover": (
-        coverings, (T1, PHI), lambda got: NilManifold("T", 3),
+        coverings, (PHI,), lambda got: NilManifold("T", 3),
         ["T(1): class %s has several covers %r"
          % (REP, {NilManifold("T", 2), NilManifold("T", 3)}),
          "T(1): oracle rejects cover T(3) for s=() v=(1,0) h=0"]),
     "z2_index": (
-        bu_index, (T1, PHI), lambda got: 2,
+        bu_index, (PHI,), lambda got: 2,
         ["T(1): class %s has several indices {1, 2}" % REP]),
     "verify_cover": (
-        coverings, (T1, PHI, NilManifold("T", 2)), lambda got: False,
+        coverings, (PHI, NilManifold("T", 2)), lambda got: False,
         ["T(1): oracle rejects cover T(2) for s=() v=(1,0) h=0"]),
     "index_one_case": (
         bu_index, (T1, PHI), lambda got: None,
