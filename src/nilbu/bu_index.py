@@ -2,8 +2,7 @@
 
 The pair is (m, phi): a Nil manifold together with the epimorphism cutting
 out the double cover.  phi carries m, so the criteria take phi alone; the
-catalogs still take the pair and check that phi belongs to m.  The index is
-1, 2 or 3:
+catalogs take the pair and check it.  The index is 1, 2 or 3:
 
   * index 1 iff phi factors through the free quotient of H1 (equivalently,
     phi kills the torsion subgroup), which is when the classifying map

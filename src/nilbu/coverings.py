@@ -1,13 +1,12 @@
 """Double covers of Nil manifolds and the classification of free involutions.
 
 double_cover computes the Seifert data of the cover cut out by an epimorphism
-phi: pi_1(m) -> Z2, reading m from phi.manifold, in closed form per family,
-and asserts e(cover) = 2^(1 - 2 phi(h)) e(base) on the integers (c, lcm),
-e = c / lcm, of the family rows.  verify_cover, the independent oracle,
-rewrites the fundamental group to the index-2 subgroup presentation
-(Reidemeister-Schreier), compares its invariant factors with H1 of the
-claimed cover and checks the Euler relation on (c, lcm) from the Seifert
-invariants.  quotients_of inverts double_cover
+phi of m = phi.manifold in closed form per family, and asserts e(cover) =
+2^(1 - 2 phi(h)) e(base) on the integers (c, lcm), e = c / lcm, of the family
+rows.  verify_cover, the independent oracle, rewrites the fundamental group
+to the index-2 subgroup presentation (Reidemeister-Schreier), compares its
+invariant factors with H1 of the claimed cover and checks the Euler relation
+on (c, lcm) from the Seifert invariants.  quotients_of inverts double_cover
 over the finitely many candidate bases, which reproduces the known involution
 diagrams; those diagrams are also transcribed here (expected_quotient_diagram)
 so the two routes can be compared mechanically.
@@ -32,10 +31,7 @@ class CoveringDescriptor(Record):
     """One free involution: class representative, cover, index."""
 
     __slots__ = _fields = ("phi", "cover", "index")
-
-    @property
-    def base(self) -> NilManifold:
-        return self.phi.manifold
+    base = property(lambda self: self.phi.manifold)  # so they cannot disagree
 
     def to_json_dict(self) -> dict:
         return {"base": self.base.encode(),

@@ -72,8 +72,7 @@ class Z2Char(Record):
     def with_bits(self, bits) -> "Z2Char":
         return Z2Char(self.manifold, tuple(bits))
 
-    def __str__(self):
-        return self.describe()
+    __str__ = describe
 
 
 def char_for(m: NilManifold, s=(), v=(), h=0) -> Z2Char:

@@ -110,8 +110,7 @@ class FinitePresentation(Record):
         body = ", ".join(format_word(self, w) for w in self.words)
         return "<%s | %s>" % (",".join(self.generators), body)
 
-    def __str__(self):
-        return self.format()
+    __str__ = format
 
 
 def format_word(pres: FinitePresentation, word) -> str:

@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from collections import namedtuple
 
 
@@ -146,8 +147,7 @@ class SeifertInvariant(Record):
         body = "".join("(%d,%d)" % p for p in self.pairs)
         return "SF(%d; %+d; %d; %s)" % (self.b, self.epsilon, self.g_prime, body)
 
-    def __str__(self):
-        return self.encode()
+    __str__ = encode
 
 
 def normalize(b, epsilon, g_prime, pairs) -> SeifertInvariant:
@@ -305,8 +305,7 @@ class NilManifold(Record):
             return "%s(%d)" % (self.family, self.b)
         return "%s(%d;%s)" % (self.family, self.b, ",".join(map(str, self.betas)))
 
-    def __str__(self):
-        return self.encode()
+    __str__ = encode
 
 
 def classify(inv: SeifertInvariant) -> NilManifold:
@@ -316,8 +315,11 @@ def classify(inv: SeifertInvariant) -> NilManifold:
     (the mirror, reverse_orientation(inv), is the one with e > 0).
     """
     if not is_nil(inv):
-        raise NotNil("not Nil geometry: chi = %s, e = %s"
-                     % (orbifold_euler_char(inv), euler_number(inv)))
+        try:
+            text = "chi = %s, e = %s" % (orbifold_euler_char(inv), euler_number(inv))
+        except ValueError:  # more digits than str() converts
+            text = "chi or e too wide to print"
+        raise NotNil("not Nil geometry: " + text)
     if euler_number(inv) < 0:
         raise OrientationError(
             "e = %s < 0; classify(reverse_orientation(inv)) names the mirror"
@@ -350,12 +352,17 @@ _FAMILY_RE = re.compile(r"\s*([A-Za-z0-9]+)\s*\(%s(?:;((?:%s,)*%s))?\)\s*"
                         % (_INT, _INT, _INT))
 
 
+def _cap() -> int:
+    # most digits a parsed integer may have: 2 under the int/str limit, as 36b
+    # must print, or 0, no cap, when the limit is 0 or missing (Python < 3.10.7)
+    return max(getattr(sys, "get_int_max_str_digits", int)() - 2, 0)
+
+
 def _int(digits: str) -> int:
-    try:
-        return int(digits)
-    except ValueError as err:  # more digits than int() converts
-        raise ParseError("integer of %d digits is too long"
-                         % len(digits.lstrip("-"))) from err
+    n = len(digits.lstrip("-"))
+    if 0 < _cap() < n:
+        raise ParseError("integer of %d digits is too long" % n)
+    return int(digits)
 
 
 def parse_seifert(text: str) -> SeifertInvariant:
@@ -366,9 +373,12 @@ def parse_seifert(text: str) -> SeifertInvariant:
     b, eps, g = map(_int, m.group(1, 2, 3))
     pairs = [(_int(a), _int(beta)) for a, beta in _PAIR_RE.findall(m.group(4))]
     try:
-        return normalize(b, eps, g, pairs)
+        inv = normalize(b, eps, g, pairs)
     except InvariantError as err:
         raise ParseError(str(err)) from err
+    if 0 < _cap() and abs(inv.b) >= 10 ** _cap():
+        raise ParseError("normalized b has more than %d digits" % _cap())
+    return inv
 
 
 def parse_family(text: str) -> NilManifold:

@@ -5,7 +5,9 @@ The corpus runs every query subcommand on every family row at b_min..b_min+4,
 with --phi 0..7 (an index past the last epimorphism is an error line, which
 is pinned too), plus a few SF(...) inputs to classify, table --b-max 40 and
 verify --b-max 3, each in text and in JSON.  argparse usage errors are left
-out, because their text changes between Python versions.
+out, because their text changes between Python versions, and so are
+integers near the interpreter's int/str digit limit (near_limit_rows and
+near_limit_overflows), because what they print depends on that limit.
 
 digest() runs each argv through cli.main in this process and hashes (argv,
 stdout, stderr, exit code) of all of them in order.  Run as a script, it
@@ -61,6 +63,33 @@ def argv_corpus():
         corpus.append(["table", "--b-max", "40", "--format", fmt])
         corpus.append(["verify", "--b-max", "3", "--format", fmt])
     return corpus
+
+
+def near_limit_rows(digits):
+    """Every query on every row at b of the given number of nines, in its
+    family encoding and, for classify, through SF(...) too."""
+    corpus = []
+    for m in sweep(0):
+        b = "9" * digits
+        text = m.encode().replace("(%d" % m.b, "(" + b, 1)
+        corpus += [[q, text] for q in QUERIES]
+        corpus += [[q, text, "--phi", "0"] for q in PHI_QUERIES]
+        corpus.append(["classify", m.seifert().encode().replace(
+            "(%d;" % m.b, "(%s;" % b, 1)])
+    return corpus
+
+
+def near_limit_overflows(cap):
+    """SF(...) input whose tokens have at most cap digits, but whose
+    normalized b has more, or whose chi or e has too many to print."""
+    nines = "9" * cap
+    wide = "".join("(1,%s)" % nines for _ in range(11))
+    a = 10 ** ((cap + 3) // 2)
+    return [["h1", "SF(0; +1; 0; (2,1)(3,1)(6,5)%s)" % wide],
+            ["h1", "SF(%s; +1; 2; (1,1))" % nines],
+            ["classify", "SF(%s; +1; 0; (2,3)(3,1)(6,5))" % nines],
+            ["classify", "SF(0; +1; 0; (%d,1)(%d,1))" % (a + 1, a + 3)],
+            ["classify", "SF(%s; +1; 0; (2,1)(%s,1))" % (nines, nines)]]
 
 
 def run(argv):
