@@ -1,8 +1,7 @@
 """Z2-index of a free involution pair via cohomological criteria.
 
-The pair is (m, phi): a Nil manifold together with the epimorphism cutting
-out the double cover.  phi carries m, so the criteria take phi alone; the
-catalogs take the pair and check it.  The index is 1, 2 or 3:
+The pair is (m, phi), phi an epimorphism of m = phi.manifold cutting out the
+double cover; only the catalogs take m as well.  The index is 1, 2 or 3:
 
   * index 1 iff phi factors through the free quotient of H1 (equivalently,
     phi kills the torsion subgroup), which is when the classifying map

@@ -31,7 +31,10 @@ class CoveringDescriptor(Record):
     """One free involution: class representative, cover, index."""
 
     __slots__ = _fields = ("phi", "cover", "index")
-    base = property(lambda self: self.phi.manifold)  # so they cannot disagree
+
+    @property
+    def base(self) -> NilManifold:
+        return self.phi.manifold
 
     def to_json_dict(self) -> dict:
         return {"base": self.base.encode(),

@@ -1,14 +1,14 @@
 """Epimorphisms pi_1 -> Z2 of the Nil manifolds and their equivalence classes.
 
-A character (Z2Char) is an epimorphism of one manifold: a bit per generator
-of its standard presentation, in the order s_1..s_n, v_1..v_g', h.  It is
-checked when it is made (char_for, with_bits and enumerate_epis all build
-through that check), and it carries its manifold, so a layer given one reads
-the manifold from it.  Two epimorphisms determine equivalent double covers
-(the same free involution up to conjugacy) when one is carried to the other by one of
-five induced automorphism moves; the orbit closure under those moves is a
-breadth-first search over bit tuples among the checked epimorphisms.  All
-orderings are deterministic: characters are compared by their bit tuple.
+A character (Z2Char) is an epimorphism of one manifold: a bit per generator of
+its standard presentation, in the order s_1..s_n, v_1..v_g', h.  It is checked
+when it is made (char_for, with_bits and enumerate_epis all build through that
+check), and a layer given one reads its manifold from it.  Two epimorphisms
+determine equivalent double covers (the same free involution up to conjugacy)
+when one is carried to the other by one of five induced automorphism moves;
+the orbit closure under those moves is a breadth-first search over bit tuples
+among the checked epimorphisms.  All orderings are deterministic: characters
+are compared by their bit tuple.
 """
 
 from __future__ import annotations
