@@ -20,7 +20,7 @@ import contextlib
 import hashlib
 import io
 
-from nilbu import sweep
+from nilbu import NilManifold, sweep
 from nilbu.cli import main
 
 QUERIES = ("classify", "h1", "epis", "involutions")
@@ -42,10 +42,9 @@ SEIFERT_INPUTS = (
 
 def manifolds():
     """Every family row at b_min..b_min+4, 10^12 and 10^12 + 1."""
-    low = list(sweep(0))
-    for m in low:
+    for m in sweep(0):
         for b in [m.b + k for k in range(5)] + [10 ** 12, 10 ** 12 + 1]:
-            yield m.__class__(m.family, b, m.betas)
+            yield NilManifold(m.family, b, m.betas)
 
 
 def argv_corpus():
