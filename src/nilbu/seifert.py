@@ -376,7 +376,7 @@ def parse_seifert(text: str) -> SeifertInvariant:
         inv = normalize(b, eps, g, pairs)
     except InvariantError as err:
         raise ParseError(str(err)) from err
-    if 0 < _cap() and abs(inv.b) >= 10 ** _cap():
+    if 0 < 3 * _cap() < inv.b.bit_length() and abs(inv.b) >= 10 ** _cap():
         raise ParseError("normalized b has more than %d digits" % _cap())
     return inv
 
