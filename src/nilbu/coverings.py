@@ -6,10 +6,11 @@ phi of m = phi.manifold in closed form per family, and asserts e(cover) =
 rows.  verify_cover, the independent oracle, rewrites the fundamental group
 to the index-2 subgroup presentation (Reidemeister-Schreier), compares its
 invariant factors with H1 of the claimed cover and checks the Euler relation
-on (c, lcm) from the Seifert invariants.  quotients_of inverts double_cover
-over the finitely many candidate bases, which reproduces the known involution
-diagrams; those diagrams are also transcribed here (expected_quotient_diagram)
-so the two routes can be compared mechanically.
+by its own cross-multiplication of (c, lcm), which cd_invariants reads off
+the Seifert invariants, not the family rows.  quotients_of inverts
+double_cover over the finitely many candidate bases, which reproduces the
+known involution diagrams; those diagrams are also transcribed here
+(expected_quotient_diagram) so the two routes can be compared mechanically.
 
 The search is cut by two exact rules before double_cover decides.  A base
 row must have lcm(a_i) equal to l_m or 2 l_m, since the preimages of a fibre
@@ -87,13 +88,10 @@ def double_cover(phi: Z2Char) -> NilManifold:
         b1, b2, b3 = m.betas
         cover = NilManifold(
             "333", (b + b1 + b2 + b3 - 6) // 2, (3 - b3, 3 - b2, 3 - b1))
-    assert _euler_scales(phi.h, m.c, m.row.lcm, cover.c, cover.row.lcm)
+    # e(cover) = 2^(1 - 2h) e(m) on the rows' integers, e = c / lcm
+    assert 2 ** phi.h * cover.c * m.row.lcm \
+        == 2 ** (1 - phi.h) * m.c * cover.row.lcm
     return cover
-
-
-def _euler_scales(h: int, c_m: int, l_m: int, c: int, l: int) -> bool:
-    # e(cover) = 2^(1 - 2h) e(m) on integer pairs, cross-multiplied: e = c / l
-    return 2 ** h * c * l_m == 2 ** (1 - h) * c_m * l
 
 
 def verify_cover(phi: Z2Char, claimed: NilManifold) -> bool:
@@ -101,14 +99,15 @@ def verify_cover(phi: Z2Char, claimed: NilManifold) -> bool:
 
     Rewrites pi_1(phi.manifold) to the kernel presentation, abelianizes, and
     compares invariant factors with h1(claimed); also checks the Euler number
-    relation on the Seifert invariants' (c, lcm).  True iff both hold.
+    relation by its own arithmetic on the Seifert invariants' (c, lcm), not
+    double_cover's.  True iff both hold.
     """
-    inv = phi.manifold.seifert()
-    sub = reidemeister_schreier(fundamental_group(inv), phi.bits)
-    c_m, _, l_m = cd_invariants(inv)
+    m = phi.manifold
+    sub = reidemeister_schreier(fundamental_group(m), phi.bits)
+    c_m, _, l_m = cd_invariants(m.seifert())
     c, _, l = cd_invariants(claimed.seifert())
     return (abelian_invariants(sub) == h1(claimed).decomposition
-            and _euler_scales(phi.h, c_m, l_m, c, l))
+            and 2 ** phi.h * c * l_m == 2 ** (1 - phi.h) * c_m * l)
 
 
 def quotients_of(m: NilManifold) -> tuple[CoveringDescriptor, ...]:

@@ -46,7 +46,7 @@ class Z2Char(Record):
         object.__setattr__(self, "manifold", manifold)
         object.__setattr__(self, "bits", tuple(bits))
         try:
-            check_epimorphism(fundamental_group(manifold.seifert()), self.bits)
+            check_epimorphism(fundamental_group(manifold), self.bits)
         except NilError as err:
             raise InvalidCharacter(str(err)) from err
 
@@ -102,7 +102,7 @@ def enumerate_epis(m: NilManifold) -> tuple[Z2Char, ...]:
     integer against the relators' parity masks; each survivor is then built
     as a Z2Char, whose odd_relator check confirms it independently.
     """
-    pres = fundamental_group(m.seifert())
+    pres = fundamental_group(m)
     return tuple(Z2Char(m, bits) for bits in pres.epimorphism_bits())
 
 

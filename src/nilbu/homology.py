@@ -218,7 +218,7 @@ def _orders(pres: FinitePresentation):
 @lru_cache(maxsize=None)
 def h1(m: NilManifold) -> AbelianGroup:
     """First homology of the manifold, via its fundamental group."""
-    return abelianization(fundamental_group(m.seifert()))
+    return abelianization(fundamental_group(m))
 
 
 def mod2_rank(group: AbelianGroup) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .seifert import InvariantError, NilError, Record, SeifertInvariant
+from .seifert import FAMILIES, InvariantError, NilError, NilManifold, Record
 
 Word = tuple[tuple[int, int], ...]
 
@@ -127,21 +127,21 @@ def _commutator(x: int, y: int) -> Word:
 
 
 @lru_cache(maxsize=None)
-def fundamental_group(inv: SeifertInvariant) -> FinitePresentation:
-    """Standard presentation of pi_1 of the Seifert fibration.
+def fundamental_group(m: NilManifold) -> FinitePresentation:
+    """Standard presentation of pi_1 of the Nil manifold m, cached by m.
 
-    Generators s_1..s_n (exceptional sections), v_1..v_g' (base classes),
-    h (regular fibre).  Relators, in order: the fibre-commutation relators
-    [s_i, h]; the cone relators s_i^{a_i} h^{b_i}; the base relators
-    v_j h v_j^-1 h^{-eps}; and the section relator s_1...s_n V h^{-b} where
-    V is the product of handle commutators (eps = +1) or crosscap squares
-    (eps = -1).  Every power is one syllable, so the size of the
-    presentation does not depend on b.
+    eps and g' come from m's family, the exceptional pairs (a_i, b_i) from
+    m.row and b from m.b.  Generators s_1..s_n (exceptional sections),
+    v_1..v_g' (base classes), h (regular fibre).  Relators, in order: the
+    fibre-commutation relators [s_i, h]; the cone relators s_i^{a_i}
+    h^{b_i}; the base relators v_j h v_j^-1 h^{-eps}; and the section
+    relator s_1...s_n V h^{-b} where V is the product of handle commutators
+    (eps = +1, g' even) or crosscap squares (eps = -1).  Every power is one
+    syllable, so the size of the presentation does not depend on b.
     """
-    n = len(inv.pairs)
-    g = inv.g_prime
-    if inv.epsilon == +1 and g % 2 != 0:
-        raise InvariantError("orientable base needs even g', got %d" % g)
+    eps, g, _, _ = FAMILIES[m.family]
+    pairs = m.row.pairs
+    n = len(pairs)
     names = tuple("s%d" % (i + 1) for i in range(n)) \
         + tuple("v%d" % (j + 1) for j in range(g)) + ("h",)
     s = tuple(range(1, n + 1))
@@ -151,19 +151,19 @@ def fundamental_group(inv: SeifertInvariant) -> FinitePresentation:
     relators: list[Word] = []
     for i in range(n):
         relators.append(_commutator(s[i], h))
-    for i, (a, beta) in enumerate(inv.pairs):
+    for i, (a, beta) in enumerate(pairs):
         relators.append(((s[i], a), (h, beta)))
     for j in range(g):
         # v h v^-1 h^-eps
-        relators.append(((v[j], 1), (h, 1), (v[j], -1), (h, -inv.epsilon)))
+        relators.append(((v[j], 1), (h, 1), (v[j], -1), (h, -eps)))
     long_word: Word = tuple((x, 1) for x in s)
-    if inv.epsilon == +1:
+    if eps == +1:
         for k in range(g // 2):
             long_word += _commutator(v[2 * k], v[2 * k + 1])
     else:
         for j in range(g):
             long_word += ((v[j], 2),)
-    long_word += ((h, -inv.b),)
+    long_word += ((h, -m.b),)
     relators.append(long_word)
     return FinitePresentation(names, tuple(relators))
 

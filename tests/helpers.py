@@ -217,6 +217,6 @@ def epi_bits(m) -> list:
     Every bit tuple in generator order, from product, that is not all 0 and
     gives no relator an odd image under odd_relator.
     """
-    pres = fundamental_group(m.seifert())
+    pres = fundamental_group(m)
     return [bits for bits in product((0, 1), repeat=len(pres.generators))
             if any(bits) and pres.odd_relator(bits) is None]

@@ -44,7 +44,7 @@ def test_char_for_accepts_exactly_the_epimorphisms(case):
         phi = None
     accepted = phi is not None
     assert accepted == (bits in {e.bits for e in enumerate_epis(m)})
-    pres = fundamental_group(m.seifert())
+    pres = fundamental_group(m)
     assert accepted == (any(bits) and _kills_every_relator(pres, bits))
     if accepted:
         assert phi.bits == bits and phi.manifold == m

@@ -83,7 +83,7 @@ def test_odd_masks_match_exponent_sums(pres):
 
 def test_odd_masks_match_exponent_sums_on_sweep():
     for m in sweep(8):
-        pres = fundamental_group(m.seifert())
+        pres = fundamental_group(m)
         assert pres._odd_masks == _old_masks(pres), m
         for bits in pres.epimorphism_bits():
             sub = reidemeister_schreier(pres, bits)

@@ -29,7 +29,7 @@ def large_manifolds(draw):
 @given(large_manifolds())
 def test_kernel_invariants_match_abelianization_at_large_b(m):
     # the oracle's rewriting: with t = h no word grows with b
-    pres = fundamental_group(m.seifert())
+    pres = fundamental_group(m)
     for phi in enumerate_epis(m):
         sub = reidemeister_schreier(pres, phi.bits)
         assert abelian_invariants(sub) == abelianization(sub).decomposition
@@ -39,7 +39,7 @@ def test_kernel_invariants_match_abelianization_on_sweep(sweep16):
     # every phi = 1 generator as transversal, through the letter-level
     # reference, so relators of every shape reach the elimination
     for m in sweep16:
-        pres = fundamental_group(m.seifert())
+        pres = fundamental_group(m)
         for phi in enumerate_epis(m):
             for name, bit in zip(pres.generators, phi.bits):
                 if bit:

@@ -100,7 +100,7 @@ def test_abelianization_free_and_mixed():
 def test_abelianization_kills_every_relator():
     for m in [NilManifold("T", 5), NilManifold("22", 3),
               NilManifold("333", 1, (1, 2, 2))]:
-        pres = fundamental_group(m.seifert())
+        pres = fundamental_group(m)
         ab = abelianization(pres)
         for word in pres.relators:
             coeffs = {}

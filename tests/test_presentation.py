@@ -42,31 +42,31 @@ def test_format_word():
 
 
 def test_fundamental_group_torus_bundle():
-    p = fundamental_group(NilManifold("T", 3).seifert())
+    p = fundamental_group(NilManifold("T", 3))
     assert p.generators == ("v1", "v2", "h")
     assert p.format() == ("<v1,v2,h | v1 h v1^-1 h^-1, v2 h v2^-1 h^-1, "
                           "v1 v2 v1^-1 v2^-1 h^-3>")
 
 
 def test_fundamental_group_klein_bundle():
-    p = fundamental_group(NilManifold("K", 2).seifert())
+    p = fundamental_group(NilManifold("K", 2))
     assert p.format() == ("<v1,v2,h | v1 h v1^-1 h, v2 h v2^-1 h, "
                           "v1^2 v2^2 h^-2>")
 
 
 def test_fundamental_group_with_cone_points():
-    p = fundamental_group(NilManifold("22", 0).seifert())
+    p = fundamental_group(NilManifold("22", 0))
     assert p.generators == ("s1", "s2", "v1", "h")
     assert p.format() == ("<s1,s2,v1,h | s1 h s1^-1 h^-1, s2 h s2^-1 h^-1, "
                           "s1^2 h, s2^2 h, v1 h v1^-1 h, s1 s2 v1^2>")
-    q = fundamental_group(NilManifold("236", 0, (1, 5)).seifert())
+    q = fundamental_group(NilManifold("236", 0, (1, 5)))
     assert q.format() == ("<s1,s2,s3,h | s1 h s1^-1 h^-1, s2 h s2^-1 h^-1, "
                           "s3 h s3^-1 h^-1, s1^2 h, s2^3 h, s3^6 h^5, "
                           "s1 s2 s3>")
 
 
 def test_check_epimorphism():
-    p = fundamental_group(NilManifold("T", 3).seifert())
+    p = fundamental_group(NilManifold("T", 3))
     assert check_epimorphism(p, (1, 0, 0)) is None  # bits of v1, v2, h
     with pytest.raises(NotAHomomorphism):
         # h^-3 in the section relator has odd image
@@ -86,7 +86,7 @@ def test_check_epimorphism():
 
 
 def test_odd_relator_reads_exponent_parity():
-    p = fundamental_group(NilManifold("T", 3).seifert())
+    p = fundamental_group(NilManifold("T", 3))
     assert p.odd_relator((1, 0, 0)) is None
     assert p.odd_relator((0, 0, 1)) == p.words[2]  # h^-3 is odd
     q = FinitePresentation(("a", "b"), (((1, 1), (2, 1), (1, 1), (2, -1), (1, 1)),
@@ -124,7 +124,7 @@ def test_rs_rank_two_free_abelian():
 def test_rs_generator_and_relator_counts():
     for m in [NilManifold("T", 2), NilManifold("2222", 0),
               NilManifold("244", 0, (1, 3))]:
-        p = fundamental_group(m.seifert())
+        p = fundamental_group(m)
         from nilbu import enumerate_epis
         for phi in enumerate_epis(m):
             q = reidemeister_schreier(p, phi.bits)
@@ -135,7 +135,7 @@ def test_rs_generator_and_relator_counts():
 def test_rs_torus_bundle_cover_homology():
     # phi(v1) = 1 unwraps the first base class: the cover is the b = 6 bundle
     m = NilManifold("T", 3)
-    p = fundamental_group(m.seifert())
+    p = fundamental_group(m)
     q = reidemeister_schreier(p, (1, 0, 0))  # phi(v1) = 1
     ab = abelianization(q)
     assert (ab.free_rank, ab.torsion) == (2, (6,))
@@ -144,7 +144,7 @@ def test_rs_torus_bundle_cover_homology():
 def test_rs_vertical_class_cover_homology():
     # frozen from an independent run of this rewriting by hand
     m = NilManifold("22", 0)
-    p = fundamental_group(m.seifert())
+    p = fundamental_group(m)
     q = reidemeister_schreier(p, (0, 0, 1, 0))  # phi(v1) = 1
     ab = abelianization(q)
     assert (ab.free_rank, ab.torsion) == (0, (2, 2, 8))
@@ -153,7 +153,7 @@ def test_rs_vertical_class_cover_homology():
 def test_rs_transversal_choice_does_not_change_homology():
     # nilbu rewrites over one transversal; the reference over each of them
     m = NilManifold("2222", 0)
-    p = fundamental_group(m.seifert())
+    p = fundamental_group(m)
     phi = (1, 1, 1, 1, 0)  # s1..s4, h
     default = abelianization(reidemeister_schreier(p, phi))
     assert kernel_presentation(p, phi) == reidemeister_schreier(p, phi)
@@ -163,7 +163,7 @@ def test_rs_transversal_choice_does_not_change_homology():
 
 
 def test_rs_takes_no_transversal():
-    p = fundamental_group(NilManifold("T", 2).seifert())
+    p = fundamental_group(NilManifold("T", 2))
     with pytest.raises(TypeError):
         reidemeister_schreier(p, (1, 0, 0), "h")
     with pytest.raises(TypeError):
@@ -174,7 +174,7 @@ def test_rs_default_transversal_is_bounded_in_b():
     # phi(h) = 1: the transversal is h, whose power h^-b rewrites to one
     # syllable, so the kernel presentation has the same size at any b
     def kernel(b):
-        p = fundamental_group(NilManifold("333", b, (1, 1, 2)).seifert())
+        p = fundamental_group(NilManifold("333", b, (1, 1, 2)))
         return reidemeister_schreier(p, (1, 1, 0, 1))
 
     def syllables(q):
