@@ -32,15 +32,22 @@ def verify_manifold(m: seifert.NilManifold) -> dict:
                         % (tag, part.shape,
                            epimorphisms.expected_partition_shape(m)))
     cover_of = {phi.bits: coverings.double_cover(phi) for phi in epis}
+    rep_with = {}  # cover -> the first class representative that has it
     for cls in part.classes:
+        rep = cls.representative
         covers = {cover_of[phi.bits] for phi in cls.members}
         if len(covers) != 1:
             failures.append("%s: class %s has several covers %r"
-                            % (tag, cls.representative.describe(), covers))
+                            % (tag, rep.describe(), covers))
         indices = {bu_index.z2_index(phi) for phi in cls.members}
         if len(indices) != 1:
             failures.append("%s: class %s has several indices %r"
-                            % (tag, cls.representative.describe(), indices))
+                            % (tag, rep.describe(), indices))
+        other = rep_with.setdefault(cover_of[rep.bits], rep)
+        if other is not rep:
+            failures.append("%s: classes %s and %s share cover %s"
+                            % (tag, other.describe(), rep.describe(),
+                               cover_of[rep.bits].encode()))
     for phi in epis:
         cover = cover_of[phi.bits]
         if not coverings.verify_cover(phi, cover):

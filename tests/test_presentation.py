@@ -65,6 +65,21 @@ def test_fundamental_group_with_cone_points():
                           "s1 s2 s3>")
 
 
+def test_fundamental_group_of_each_cone_family():
+    # eps = +1 and g' = 0 in each: commutators, cones s_i^a_i h^b_i, and
+    # s1...sn h^-b, with the pairs of the family row and b of the manifold
+    assert fundamental_group(NilManifold("2222", 3)).format() == (
+        "<s1,s2,s3,s4,h | s1 h s1^-1 h^-1, s2 h s2^-1 h^-1, "
+        "s3 h s3^-1 h^-1, s4 h s4^-1 h^-1, s1^2 h, s2^2 h, s3^2 h, s4^2 h, "
+        "s1 s2 s3 s4 h^-3>")
+    assert fundamental_group(NilManifold("244", -1, (3, 1))).format() == (
+        "<s1,s2,s3,h | s1 h s1^-1 h^-1, s2 h s2^-1 h^-1, s3 h s3^-1 h^-1, "
+        "s1^2 h, s2^4 h, s3^4 h^3, s1 s2 s3 h>")
+    assert fundamental_group(NilManifold("333", 2, (2, 1, 1))).format() == (
+        "<s1,s2,s3,h | s1 h s1^-1 h^-1, s2 h s2^-1 h^-1, s3 h s3^-1 h^-1, "
+        "s1^3 h, s2^3 h, s3^3 h^2, s1 s2 s3 h^-2>")
+
+
 def test_check_epimorphism():
     p = fundamental_group(NilManifold("T", 3))
     assert check_epimorphism(p, (1, 0, 0)) is None  # bits of v1, v2, h

@@ -83,3 +83,18 @@ def test_verify_exits_two_on_a_broken_oracle(monkeypatch, capsys):
     assert main(["verify", "--b-max", "0"]) == 2
     out = capsys.readouterr().out.splitlines()
     assert out[0] == lines[0] and out[-1] == "FAILURES: 1"
+
+
+def test_classes_sharing_a_cover_are_reported(monkeypatch):
+    # without its shears T(1)'s one class of three falls apart into three
+    # classes, all covered by T(2): the partition is then too fine
+    monkeypatch.setitem(epimorphisms._FAMILY_MOVES, "T", ())
+    epimorphisms.equivalence_classes.cache_clear()
+    try:
+        failures = verify_sweep(0)["failures"]
+    finally:
+        epimorphisms.equivalence_classes.cache_clear()
+    assert ("T(1): classes s=() v=(0,1) h=0 and s=() v=(1,0) h=0 "
+            "share cover T(2)") in failures
+    assert ("T(1): classes s=() v=(0,1) h=0 and s=() v=(1,1) h=0 "
+            "share cover T(2)") in failures
