@@ -63,10 +63,7 @@ def test_fundamental_group_with_cone_points():
     assert q.format() == ("<s1,s2,s3,h | s1 h s1^-1 h^-1, s2 h s2^-1 h^-1, "
                           "s3 h s3^-1 h^-1, s1^2 h, s2^3 h, s3^6 h^5, "
                           "s1 s2 s3>")
-
-
-def test_fundamental_group_of_each_cone_family():
-    # eps = +1 and g' = 0 in each: commutators, cones s_i^a_i h^b_i, and
+    # eps = +1 and g' = 0 below too: commutators, cones s_i^a_i h^b_i, and
     # s1...sn h^-b, with the pairs of the family row and b of the manifold
     assert fundamental_group(NilManifold("2222", 3)).format() == (
         "<s1,s2,s3,s4,h | s1 h s1^-1 h^-1, s2 h s2^-1 h^-1, "
