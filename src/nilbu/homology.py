@@ -4,11 +4,11 @@ Matrices are plain lists of lists of Python ints, so arithmetic is exact and
 unbounded (no overflow to report, ever).  The Smith normal form returns the
 unimodular transforms, which the abelianization uses to express generator
 images in the invariant-factor basis for the epimorphism counts and the
-index-1 torsion test.  The covering oracle compares invariant factors only
-(abelian_invariants): its Reidemeister-Schreier relation matrices are sparse
-with mostly unit entries, so it first eliminates unit pivots on sparse rows,
-each of which adds only an invariant factor 1, and runs the same Smith loop,
-without transforms, on the small core left over (Havas, Holt and Rees,
+index-1 torsion test (a mod-2 span test on integer masks).  The covering
+oracle compares invariant factors only (abelian_invariants): its sparse
+Reidemeister-Schreier relation matrices have mostly unit entries, so it
+first eliminates unit pivots, each adding only an invariant factor 1, and
+runs the same Smith loop on the small core left (Havas, Holt and Rees,
 Recognizing badly presented Z-modules, Linear Algebra Appl. 192, 1993).
 """
 
@@ -31,21 +31,14 @@ def smith_normal_form(m):
     U, V are unimodular; S is diagonal with nonnegative entries, each
     dividing the next, zeros last.  Pivot choice is the smallest nonzero
     |entry| of the working submatrix with ties broken row-major, which makes
-    S, U, V deterministic for a given input.
+    S, U, V deterministic for a given input (Cohen 1993, Alg. 2.4.14).
     """
-    return _smith(m, True)
-
-
-def _smith(m, transforms: bool):
-    # without transforms U has empty rows and V none: the same loop does no
-    # work on them and S comes out the same (Cohen 1993, Alg. 2.4.14)
     A = [list(row) for row in m]
     nr = len(A)
     nc = len(A[0]) if nr else 0
     if any(len(row) != nc for row in A):
         raise InvariantError("ragged matrix")
-    U = identity(nr) if transforms else [[] for _ in A]
-    V = identity(nc) if transforms else []
+    U, V = identity(nr), identity(nc)
 
     def row_combine(i, j, q):
         # row_i -= q * row_j
@@ -155,7 +148,11 @@ def abelianization(pres: FinitePresentation) -> AbelianGroup:
     column per relator); if S = U A V is its Smith form then generator j has
     decomposition coordinates given by column j of U.
     """
-    orders, U = _orders(pres)
+    R = exponent_matrix(pres)
+    A = [[row[j] for row in R] for j in range(len(pres.generators))]
+    S, U, _ = smith_normal_form(A)
+    # the order of each decomposition coordinate, 0 when it is free
+    orders = [row[i] if i < len(row) else 0 for i, row in enumerate(S)]
     free_pos = [i for i, d in enumerate(orders) if d == 0]
     tor_pos = [i for i, d in enumerate(orders) if d >= 2]
     gen_images = {name: tuple(U[i][j] for i in free_pos)
@@ -166,13 +163,13 @@ def abelianization(pres: FinitePresentation) -> AbelianGroup:
 
 
 def abelian_invariants(pres: FinitePresentation) -> tuple[int, tuple[int, ...]]:
-    """abelianization(pres).decomposition, without transforms.
+    """abelianization(pres).decomposition, without generator images.
 
     Each relator's exponent sums form a sparse row.  While some row has an
     entry +-1 on a generator, exact row operations clear that generator from
     the other rows, and the row and the generator are dropped: the relation
     expresses the generator through the others, so it adds only an invariant
-    factor 1.  The Smith loop without U and V then runs on the core left;
+    factor 1.  The Smith loop then runs on the core left, U and V unused;
     the free rank is the generators left minus the core's rank (Havas, Holt
     and Rees 1993; Cohen 1993, Alg. 2.4.14).
     """
@@ -201,18 +198,10 @@ def abelian_invariants(pres: FinitePresentation) -> tuple[int, tuple[int, ...]]:
                     else:
                         del row[k]
     gens = sorted({gen for row in rows for gen in row})
-    S, _, _ = _smith([[row.get(gen, 0) for gen in gens] for row in rows if row],
-                     False)
+    S, _, _ = smith_normal_form([[row.get(gen, 0) for gen in gens]
+                                 for row in rows if row])
     diag = [S[i][i] for i in range(min(len(S), len(gens)))]
     return left - sum(1 for d in diag if d), tuple(d for d in diag if d >= 2)
-
-
-def _orders(pres: FinitePresentation):
-    # the order of each decomposition coordinate (0 = free), and U
-    R = exponent_matrix(pres)
-    A = [[row[j] for row in R] for j in range(len(pres.generators))]
-    S, U, _ = smith_normal_form(A)
-    return [row[i] if i < len(row) else 0 for i, row in enumerate(S)], U
 
 
 @lru_cache(maxsize=None)
@@ -226,36 +215,29 @@ def mod2_rank(group: AbelianGroup) -> int:
     return group.free_rank + sum(1 for d in group.torsion if d % 2 == 0)
 
 
-def _gf2_consistent(rows, ncols) -> bool:
-    # rows are augmented [coeffs | rhs]; consistent iff no reduced row is 0...0|1
-    rows = [row[:] for row in rows]
-    pivot_row = 0
-    for col in range(ncols):
-        sel = next((i for i in range(pivot_row, len(rows)) if rows[i][col]), None)
-        if sel is None:
-            continue
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        for i in range(len(rows)):
-            if i != pivot_row and rows[i][col]:
-                rows[i] = [x ^ y for x, y in zip(rows[i], rows[pivot_row])]
-        pivot_row += 1
-    return not any(row[-1] and not any(row[:-1]) for row in rows)
-
-
 def torsion_subgroup_killed_by(bits, group: AbelianGroup) -> bool:
     """True iff the mod-2 functional phi vanishes on the torsion subgroup.
 
     phi is given by its bits (the ints 0 and 1) in generator order, the
     order of group.gen_images.  Killing torsion is the same as factoring
-    through the free quotient, i.e. solvability of psi * F = phi over GF(2)
-    where F collects the free coordinates of the generator images; that
-    system is what gets checked.
+    through the free quotient, i.e. phi lying in the GF(2) span of the free
+    coordinates of the generator images.  Each free coordinate, mod 2, is a
+    mask with bit j for generator j.  The masks are reduced to an XOR basis
+    in which no vector has the leading bit of one before it, so min(x, x ^ v)
+    clears v's leading bit from x for good; phi's mask must reduce to 0.
     """
-    f = group.free_rank
     check_bits(bits, len(group.gen_images))
-    rows = [[c % 2 for c in coords[:f]] + [bit]
-            for coords, bit in zip(group.gen_images.values(), bits)]
-    return _gf2_consistent(rows, f)
+    basis = []
+    for column in list(zip(*group.gen_images.values()))[:group.free_rank]:
+        x = sum((c % 2) << j for j, c in enumerate(column))
+        for v in basis:
+            x = min(x, x ^ v)
+        if x:
+            basis.append(x)
+    phi = sum(bit << j for j, bit in enumerate(bits))
+    for v in basis:
+        phi = min(phi, phi ^ v)
+    return phi == 0
 
 
 def h1_closed_form(m: NilManifold) -> tuple[int, tuple[int, ...]]:

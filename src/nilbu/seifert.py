@@ -113,6 +113,13 @@ class Record:
     __delattr__ = __setattr__
 
 
+def _check_ints(*values) -> None:
+    """InvariantError unless each value is an int: none is coerced."""
+    for x in values:
+        if type(x) is not int:  # bool is not an int here
+            raise InvariantError("Seifert data must be ints, got %r" % (x,))
+
+
 class SeifertInvariant(Record):
     """Normalized Seifert invariant of a closed orientable Seifert fibration.
 
@@ -124,13 +131,15 @@ class SeifertInvariant(Record):
     __slots__ = _fields = ("b", "epsilon", "g_prime", "pairs")
 
     def __init__(self, b: int, epsilon: int, g_prime: int, pairs):
+        pairs = [(a, beta) for a, beta in pairs]
+        _check_ints(b, epsilon, g_prime, *(x for pair in pairs for x in pair))
         if epsilon not in (+1, -1):
             raise InvariantError("epsilon must be +1 or -1, got %r" % (epsilon,))
         if g_prime < 0:
             raise InvariantError("g' must be >= 0, got %r" % (g_prime,))
         if epsilon == -1 and g_prime < 1:
             raise InvariantError("non-orientable base needs g' >= 1")
-        pairs = tuple(sorted((int(a), int(beta)) for a, beta in pairs))
+        pairs = tuple(sorted(pairs))
         for a, beta in pairs:
             if a < 2:
                 raise InvariantError("normalized pair needs a >= 2, got (%d,%d)" % (a, beta))
@@ -155,12 +164,13 @@ def normalize(b, epsilon, g_prime, pairs) -> SeifertInvariant:
 
     Accepts arbitrary integer betas and pairs with a_i = 1; applies
     (a, beta) -> (a, beta mod a) with the quotient absorbed into b, drops
-    a = 1 pairs, sorts.  Rejects a_i <= 0 and gcd(a_i, beta_i) != 1.
+    a = 1 pairs, sorts.  Rejects a_i <= 0, gcd(a_i, beta_i) != 1 and any
+    value that is not an int.
     """
-    b = int(b)
+    pairs = [(a, beta) for a, beta in pairs]
+    _check_ints(b, epsilon, g_prime, *(x for pair in pairs for x in pair))
     clean = []
     for a, beta in pairs:
-        a, beta = int(a), int(beta)
         if a <= 0:
             raise InvariantError("fibre order a must be positive, got %d" % a)
         if math.gcd(a, beta) != 1:
@@ -272,10 +282,10 @@ class NilManifold(Record):
         if family not in FAMILIES:
             raise InvariantError("unknown family tag %r" % (family,))
         _, _, _, free = FAMILIES[family]
-        betas = tuple(int(x) for x in betas)
+        betas = tuple(betas)
+        _check_ints(b, *betas)
         if family in _SORTED_BETAS:
             betas = tuple(sorted(betas))
-        b = int(b)
         if len(betas) != len(free):
             raise InvariantError(
                 "family %s takes %d cone parameters, got %d"

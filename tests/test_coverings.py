@@ -1,8 +1,16 @@
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 
 from nilbu import (InvalidCharacter, NilManifold, char_for, double_cover,
-                   enumerate_epis, euler_number, expected_quotient_diagram,
-                   quotients_of, sweep, verify_cover)
+                   enumerate_epis, equivalence_classes, euler_number,
+                   expected_quotient_diagram, quotients_of, sweep,
+                   verify_cover)
+from nilbu.seifert import ROWS
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
 
 def _cover(m, s=(), v=(), h=0):
@@ -165,3 +173,26 @@ def test_a_descriptor_reads_its_base_from_its_character():
         for d in quotients_of(m):
             assert d.base is d.phi.manifold
             assert d.to_json_dict()["base"] == d.phi.manifold.encode()
+
+
+@pytest.mark.parametrize("family, betas", sorted(ROWS))
+@settings(max_examples=10, deadline=None)
+@given(offset=st.integers(0, 10 ** 12))
+def test_distinct_classes_have_distinct_covers_for_a_reason(family, betas,
+                                                            offset):
+    # the closed forms tell any two classes apart: by phi(h), which halves or
+    # doubles e, or else by the family row of the cover
+    b_min = ROWS[(family, betas)].b_min
+    for b in (b_min + offset, b_min + offset + 1):  # both parities
+        m = NilManifold(family, b, betas)
+        e = euler_number(m.seifert())
+        reps = [c.representative for c in equivalence_classes(m).classes]
+        covers = {phi: double_cover(phi) for phi in reps}
+        for x, y in combinations(reps, 2):
+            if x.h != y.h:
+                assert family in ("T", "K") and b % 2 == 0
+                assert {euler_number(covers[phi].seifert()) / e
+                        for phi in (x, y)} == {Fraction(1, 2), 2}
+            else:
+                assert ((covers[x].family, covers[x].betas)
+                        != (covers[y].family, covers[y].betas)), (m, x, y)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -179,3 +180,36 @@ def test_torsion_killing_detects_fibre_class():
             torsion_subgroup_killed_by((value, 0, 0), group)
     with pytest.raises(NotAHomomorphism):
         torsion_subgroup_killed_by((1, 0), group)  # no bit for h
+
+
+def _factors_through_free_quotient(bits, group):
+    # brute force: some psi in GF(2)^f with phi(g_j) = psi . free(g_j) mod 2
+    f = group.free_rank
+    return any(all((sum(p * c for p, c in zip(psi, coords[:f])) - bit) % 2 == 0
+                   for coords, bit in zip(group.gen_images.values(), bits))
+               for psi in itertools.product((0, 1), repeat=f))
+
+
+def test_torsion_killing_matches_brute_force():
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(1500):
+        free = rng.randint(0, 5)
+        torsion, d = [], 1
+        for _ in range(rng.randint(1, 3)):
+            d *= rng.randint(2, 4)  # a chain d_1 | d_2 | ...
+            torsion.append(d)
+        images = {"x%d" % j: tuple(rng.randint(-9, 9) for _ in range(free))
+                  + tuple(rng.randrange(t) for t in torsion)
+                  for j in range(rng.randint(1, 7))}
+        group = AbelianGroup(free, tuple(torsion), images)
+        if rng.random() < 0.5:  # phi through the free quotient: both answers
+            psi = [rng.randint(0, 1) for _ in range(free)]
+            bits = tuple(sum(p * c for p, c in zip(psi, coords)) % 2
+                         for coords in images.values())
+        else:
+            bits = tuple(rng.randint(0, 1) for _ in images)
+        killed = torsion_subgroup_killed_by(bits, group)
+        assert killed == _factors_through_free_quotient(bits, group)
+        seen.add((free, killed))
+    assert seen == {(f, k) for f in range(6) for k in (False, True)}

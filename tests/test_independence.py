@@ -27,6 +27,7 @@ ALLOWED = {
     "epimorphisms._shape": "the family's generator counts, by which Z2Char.s "
                            "slices the bits",
     "seifert.NilManifold.__init__": "builds and checks a manifold value",
+    "seifert._check_ints": "rejects a record's argument that is not an int",
     "seifert.NilManifold.encode": "prints a manifold; both diagrams sort by it",
 }
 

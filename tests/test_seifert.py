@@ -168,6 +168,28 @@ def test_nil_manifold_validation():
         NilManifold("333", -2, (1, 1, 1))
 
 
+@pytest.mark.parametrize("build, args", [
+    (NilManifold, ("T", 3.7)),
+    (NilManifold, ("T", True)),
+    (NilManifold, ("T", "5")),
+    (NilManifold, ("236", 0, (1.9, 5))),
+    (NilManifold, ("244", 0, (1, True))),
+    (normalize, (2.5, 1, 2, [(2, 1)])),
+    (normalize, (2, 1, 2, [(2, 1.0)])),
+    (normalize, (2, 1, 2, [(1, True)])),  # an a = 1 pair is still checked
+    (normalize, (2, 1.0, 2, ())),
+    (normalize, (2, 1, "2", ())),
+    (SeifertInvariant, (0, True, 2.0, ())),
+    (SeifertInvariant, (0, 1, 2, ((2.0, 1),))),
+    (SeifertInvariant, (0, 1, 2, ((2, True),))),
+    (SeifertInvariant, ("0", 1, 2, ())),
+])
+def test_constructors_take_ints_only(build, args):
+    # no input is silently coerced: a float, str or bool is not an int here
+    with pytest.raises(InvariantError, match="must be ints"):
+        build(*args)
+
+
 def test_free_betas_stored_sorted():
     assert NilManifold("244", 0, (3, 1)) == NilManifold("244", 0, (1, 3))
     assert NilManifold("333", 0, (2, 1, 2)).betas == (1, 2, 2)
