@@ -82,6 +82,8 @@ def _parse_phi(m: NilManifold, text: str):
             raise ParseError("--phi must be an index or a JSON object: %s" % err) from err
         except ValueError as err:  # more digits than int() converts
             raise ParseError("--phi holds an integer with too many digits") from err
+        except RecursionError as err:
+            raise ParseError("--phi JSON nests too deeply") from err
         if not (isinstance(obj, dict) and set(obj) <= {"s", "v", "h"} and
                 all(isinstance(obj.get(k, []), list) for k in "sv")):
             raise ParseError("--phi JSON must be an object with lists s, v "

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .seifert import FAMILIES, InvariantError, NilError, NilManifold, Record
+from .seifert import (FAMILIES, ROWS, InvariantError, NilError, NilManifold,
+                      Record)
 
 Word = tuple[tuple[int, int], ...]
 
@@ -34,14 +35,18 @@ class NotSurjective(NilError):
 
 
 def free_reduce(word) -> Word:
-    """Merge adjacent syllables on one generator and drop zero exponents."""
+    """Merge adjacent syllables on one generator and drop zero exponents.
+
+    A reduced tuple comes back as itself, anything else as a new tuple.
+    """
     out = []
     for gen, exp in word:
         if out and out[-1][0] == gen:
             exp += out.pop()[1]
         if exp:
             out.append((gen, exp))
-    return tuple(out)
+    out = tuple(out)
+    return word if out == word else out
 
 
 def letters(word) -> tuple[int, ...]:
@@ -126,21 +131,10 @@ def _commutator(x: int, y: int) -> Word:
     return ((x, 1), (y, 1), (x, -1), (y, -1))
 
 
-@lru_cache(maxsize=None)
-def fundamental_group(m: NilManifold) -> FinitePresentation:
-    """Standard presentation of pi_1 of the Nil manifold m, cached by m.
-
-    eps and g' come from m's family, the exceptional pairs (a_i, b_i) from
-    m.row and b from m.b.  Generators s_1..s_n (exceptional sections),
-    v_1..v_g' (base classes), h (regular fibre).  Relators, in order: the
-    fibre-commutation relators [s_i, h]; the cone relators s_i^{a_i}
-    h^{b_i}; the base relators v_j h v_j^-1 h^{-eps}; and the section
-    relator s_1...s_n V h^{-b} where V is the product of handle commutators
-    (eps = +1, g' even) or crosscap squares (eps = -1).  Every power is one
-    syllable, so the size of the presentation does not depend on b.
-    """
-    eps, g, _, _ = FAMILIES[m.family]
-    pairs = m.row.pairs
+def _row_parts(family: str, pairs) -> tuple:
+    """pi_1 of a family row but for b: names, the relators before the
+    section relator, the section relator up to h^-b, and the number of h."""
+    eps, g, _, _ = FAMILIES[family]
     n = len(pairs)
     names = tuple("s%d" % (i + 1) for i in range(n)) \
         + tuple("v%d" % (j + 1) for j in range(g)) + ("h",)
@@ -163,9 +157,28 @@ def fundamental_group(m: NilManifold) -> FinitePresentation:
     else:
         for j in range(g):
             long_word += ((v[j], 2),)
-    long_word += ((h, -m.b),)
-    relators.append(long_word)
-    return FinitePresentation(names, tuple(relators))
+    return names, tuple(relators), long_word, h
+
+
+# (family, betas) -> _row_parts; static like ROWS, shared by the row's pi_1s
+_ROW_PARTS = {key: _row_parts(key[0], row.pairs) for key, row in ROWS.items()}
+
+
+@lru_cache(maxsize=None)
+def fundamental_group(m: NilManifold) -> FinitePresentation:
+    """Standard presentation of pi_1 of the Nil manifold m, cached by m.
+
+    eps and g' come from m's family, the exceptional pairs (a_i, b_i) from
+    m.row and b from m.b.  Generators s_1..s_n (exceptional sections),
+    v_1..v_g' (base classes), h (regular fibre).  Relators, in order: the
+    fibre-commutation relators [s_i, h]; the cone relators s_i^{a_i}
+    h^{b_i}; the base relators v_j h v_j^-1 h^{-eps}; and the section
+    relator s_1...s_n V h^{-b} where V is the product of handle commutators
+    (eps = +1, g' even) or crosscap squares (eps = -1).  Every power is one
+    syllable, so the size of the presentation does not depend on b.
+    """
+    names, fixed, section, h = _ROW_PARTS[m.family, m.betas]
+    return FinitePresentation(names, fixed + (section + ((h, -m.b),),))
 
 
 def exponent_matrix(pres: FinitePresentation) -> list[list[int]]:

@@ -11,7 +11,9 @@ it closes orbits of checked characters through apply_move.  quotients_of is
 the reference for the pruned search of nilbu.quotients_of: it tries every
 class of every candidate base that the Euler number allows.  epi_bits is the
 reference for the integer-mask enumeration of enumerate_epis: it tries every
-bit tuple through odd_relator.
+bit tuple through odd_relator.  standard_presentation is the reference for
+fundamental_group, which shares each family row's relators: it builds every
+relator of pi_1 afresh for each manifold.
 """
 
 from itertools import groupby, product
@@ -22,7 +24,7 @@ from nilbu import (CoveringDescriptor, EpiClass, EpiClassPartition,
                    NilManifold, apply_move, available_moves,
                    check_epimorphism, double_cover, enumerate_epis,
                    fundamental_group, z2_index)
-from nilbu.seifert import ROWS
+from nilbu.seifert import FAMILIES, ROWS
 
 
 def matmul(a, b) -> list[list[int]]:
@@ -220,3 +222,38 @@ def epi_bits(m) -> list:
     pres = fundamental_group(m)
     return [bits for bits in product((0, 1), repeat=len(pres.generators))
             if any(bits) and pres.odd_relator(bits) is None]
+
+
+def standard_presentation(m) -> FinitePresentation:
+    """pi_1 of m with every relator built afresh, as fundamental_group says.
+
+    [s_i, h], s_i^a_i h^b_i, v_j h v_j^-1 h^-eps, then s_1...s_n V h^-b,
+    V the handle commutators or the crosscap squares.
+    """
+    eps, g, _, _ = FAMILIES[m.family]
+    pairs = m.row.pairs
+    n = len(pairs)
+    names = tuple("s%d" % (i + 1) for i in range(n)) \
+        + tuple("v%d" % (j + 1) for j in range(g)) + ("h",)
+    s = tuple(range(1, n + 1))
+    v = tuple(range(n + 1, n + g + 1))
+    h = n + g + 1
+
+    def commutator(x, y):
+        return ((x, 1), (y, 1), (x, -1), (y, -1))
+
+    relators = [commutator(s[i], h) for i in range(n)]
+    for i, (a, beta) in enumerate(pairs):
+        relators.append(((s[i], a), (h, beta)))
+    for j in range(g):
+        relators.append(((v[j], 1), (h, 1), (v[j], -1), (h, -eps)))
+    long_word = tuple((x, 1) for x in s)
+    if eps == +1:
+        for k in range(g // 2):
+            long_word += commutator(v[2 * k], v[2 * k + 1])
+    else:
+        for j in range(g):
+            long_word += ((v[j], 2),)
+    long_word += ((h, -m.b),)
+    relators.append(long_word)
+    return FinitePresentation(names, tuple(relators))

@@ -204,7 +204,9 @@ def test_invalid_inputs_exit_one(capsys):
                 ("T(2)", '{"v": [true, false], "h": 0}'),
                 ("T(2)", '{"v": [3, 0], "h": 0}'),
                 ("T(2)", '{"v": [1, 0], "h": 1, "x": 9}'),
-                ("22(0)", '{"s": "11", "v": [0], "h": 0}')]
+                ("22(0)", '{"s": "11", "v": [0], "h": 0}'),
+                ("T(2)", "[" * 100000),
+                ("T(2)", '{"s": ' * 100000)]
     for manifold, phi in bad_phis:
         for command in ("cover", "index"):
             code, out, err = run(capsys, command, manifold, "--phi", phi)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from nilbu import (FinitePresentation, InvariantError, NilManifold,
@@ -5,8 +7,9 @@ from nilbu import (FinitePresentation, InvariantError, NilManifold,
                    check_epimorphism, double_cover, format_word, free_reduce,
                    fundamental_group, h1, reidemeister_schreier)
 from nilbu.homology import abelian_invariants
+from nilbu.seifert import ROWS
 
-from helpers import inverse_word, kernel_presentation
+from helpers import inverse_word, kernel_presentation, standard_presentation
 
 
 def test_free_reduce():
@@ -15,6 +18,15 @@ def test_free_reduce():
     assert free_reduce(()) == ()
     # adjacent syllables on one generator merge, zero exponents drop
     assert free_reduce(((1, 2), (2, 0), (1, 3), (2, 5), (2, -5))) == ((1, 5),)
+    # a reduced tuple comes back as itself; anything else as a new tuple
+    word = ((1, 2), (2, -1), (1, 3))
+    assert free_reduce(word) is word
+    for other in ([(1, 2), (2, -1), (1, 3)], ([1, 2], [2, -1], [1, 3]),
+                  ((1, 2), (2, -1), (2, 0), (1, 3))):
+        reduced = free_reduce(other)
+        assert reduced == word and reduced is not other
+        assert type(reduced) is tuple
+        assert all(type(syllable) is tuple for syllable in reduced)
 
 
 def test_inverse_word():
@@ -75,6 +87,45 @@ def test_fundamental_group_with_cone_points():
     assert fundamental_group(NilManifold("333", 2, (2, 1, 1))).format() == (
         "<s1,s2,s3,h | s1 h s1^-1 h^-1, s2 h s2^-1 h^-1, s3 h s3^-1 h^-1, "
         "s1^3 h, s2^3 h, s3^3 h^2, s1 s2 s3 h^-2>")
+
+
+def test_fundamental_group_matches_reference_and_shares_row_relators():
+    # the cached presentations of a row share every relator but h^-b
+    for (family, betas), row in ROWS.items():
+        bs = list(range(row.b_min, row.b_min + 4)) + [10 ** 12, 10 ** 12 + 1]
+        if row.b_min <= 0:
+            assert 0 in bs
+        built = []
+        for b in bs:
+            m = NilManifold(family, b, betas)
+            p, ref = fundamental_group(m), standard_presentation(m)
+            assert (p.generators, p.words) == (ref.generators, ref.words), m
+            built.append(p)
+        p = built[0]
+        for q in built[1:]:
+            assert p.generators is q.generators
+            assert all(x is y for x, y in zip(p.words[:-1], q.words[:-1]))
+            assert p.words[-1] is not q.words[-1]
+
+
+def test_presentation_bytes_do_not_grow_with_b():
+    # a presentation adds its h^-b, its words tuple and its parity masks to
+    # the row's shared relators: under 1,000 B, where a full copy of the
+    # relators per manifold takes about 2.8 KB on the worst row
+    build = fundamental_group.__wrapped__
+    kept = []
+    worst = 0
+    tracemalloc.start()
+    try:
+        for family, betas in ROWS:
+            ms = [NilManifold(family, 10 ** 6 + k, betas) for k in range(400)]
+            before = tracemalloc.get_traced_memory()[0]
+            kept.append([build(m) for m in ms])
+            used = tracemalloc.get_traced_memory()[0] - before
+            worst = max(worst, used / len(ms))
+    finally:
+        tracemalloc.stop()
+    assert worst <= 1000, worst
 
 
 def test_check_epimorphism():
