@@ -7,8 +7,11 @@ check), and a layer given one reads its manifold from it.  Two epimorphisms
 determine equivalent double covers (the same free involution up to conjugacy)
 when one is carried to the other by one of five induced automorphism moves;
 the orbit closure under those moves is a breadth-first search over bit tuples
-among the checked epimorphisms.  All orderings are deterministic: characters
-are compared by their bit tuple.
+among the epimorphisms.  pi_1 sees b only through the syllable h^-b, so the
+epimorphism bits and their orbits depend only on the family row and b mod 2:
+both are found once per such key, at import, and every manifold's characters
+and classes are built from those shared tuples.  All orderings are
+deterministic: characters are compared by their bit tuple.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .presentation import check_epimorphism, fundamental_group
-from .seifert import FAMILIES, NilError, NilManifold, Record
+from .presentation import _BOUND, check_epimorphism, fundamental_group
+from .seifert import FAMILIES, ROWS, NilError, NilManifold, Record
 
 
 class MoveNotApplicable(NilError):
@@ -92,18 +95,6 @@ def validate_char(m: NilManifold, phi: Z2Char) -> Z2Char:
         raise InvalidCharacter("character of %s used on %s"
                                % (phi.manifold.encode(), m.encode()))
     return phi
-
-
-@lru_cache(maxsize=None)
-def enumerate_epis(m: NilManifold) -> tuple[Z2Char, ...]:
-    """All epimorphisms pi_1(m) -> Z2, lexicographic in the bit tuple.
-
-    The presentation's epimorphism_bits tests every nonzero assignment as an
-    integer against the relators' parity masks; each survivor is then built
-    as a Z2Char, whose odd_relator check confirms it independently.
-    """
-    pres = fundamental_group(m)
-    return tuple(Z2Char(m, bits) for bits in pres.epimorphism_bits())
 
 
 class FiberFlip(Record):
@@ -235,14 +226,18 @@ class EpiClassPartition(Record):
         return tuple(sorted(c.size for c in self.classes))
 
 
-@lru_cache(maxsize=None)
-def equivalence_classes(m: NilManifold) -> EpiClassPartition:
-    """Partition of enumerate_epis(m) into move-orbits.
+def _mod2_layer(m: NilManifold) -> tuple[tuple, tuple]:
+    """m's epimorphism bits, lexicographic, and their move-orbits as sorted
+    tuples of indices into them, ordered by least member.
 
-    Breadth-first closure over bit tuples; an image outside enumerate_epis(m)
-    raises InvalidCharacter.  Classes are ordered by their representatives.
+    The bits come from epimorphism_bits, which tests every nonzero
+    assignment as an integer against the relators' parity masks, on a
+    presentation that no cache keeps.  The orbits come from a breadth-first
+    closure over bit tuples; an image outside the epimorphisms raises
+    InvalidCharacter.
     """
-    epis = {phi.bits: phi for phi in enumerate_epis(m)}
+    epis = tuple(fundamental_group.__wrapped__(m).epimorphism_bits())
+    index = {bits: i for i, bits in enumerate(epis)}
     moves = available_moves(m)
     seen: set[tuple[int, ...]] = set()
     classes = []
@@ -258,15 +253,47 @@ def equivalence_classes(m: NilManifold) -> EpiClassPartition:
                     image = _move_bits(bits, move, m)
                 except MoveNotApplicable:
                     continue
-                if image not in epis:
+                if image not in index:
                     raise InvalidCharacter("%r carries %r of %s to %r"
                                            % (move, bits, m.encode(), image))
                 if image not in orbit:
                     orbit.add(image)
                     frontier.append(image)
         seen |= orbit
-        classes.append(EpiClass(tuple(epis[bits] for bits in sorted(orbit))))
-    return EpiClassPartition(m, tuple(classes))
+        classes.append(tuple(sorted(index[bits] for bits in orbit)))
+    return epis, tuple(classes)
+
+
+# (family, betas, b % 2) -> _mod2_layer of one manifold of that row and
+# parity; static like ROWS (30 entries, never grows, nothing to clear)
+_MOD2 = {(family, betas, b % 2): _mod2_layer(NilManifold(family, b, betas))
+         for (family, betas), row in ROWS.items()
+         for b in (row.b_min, row.b_min + 1)}
+
+
+@lru_cache(maxsize=None)
+def enumerate_epis(m: NilManifold) -> tuple[Z2Char, ...]:
+    """All epimorphisms pi_1(m) -> Z2, lexicographic in the bit tuple.
+
+    The bit tuples are the shared ones of m's row and parity in _MOD2; each
+    is built as a Z2Char, whose odd_relator check on m's own presentation
+    confirms it independently.
+    """
+    bits, _ = _MOD2[m.family, m.betas, m.b % 2]
+    return tuple(Z2Char(m, phi) for phi in bits)
+
+
+@lru_cache(maxsize=_BOUND)
+def equivalence_classes(m: NilManifold) -> EpiClassPartition:
+    """Partition of enumerate_epis(m) into move-orbits.
+
+    The orbits are those of m's row and parity in _MOD2, as indices into
+    enumerate_epis(m); classes are ordered by their representatives.
+    """
+    epis = enumerate_epis(m)
+    _, orbits = _MOD2[m.family, m.betas, m.b % 2]
+    return EpiClassPartition(m, tuple(
+        EpiClass(tuple(epis[i] for i in orbit)) for orbit in orbits))
 
 
 def expected_epi_count(m: NilManifold) -> int:

@@ -164,7 +164,13 @@ def _row_parts(family: str, pairs) -> tuple:
 _ROW_PARTS = {key: _row_parts(key[0], row.pairs) for key, row in ROWS.items()}
 
 
-@lru_cache(maxsize=None)
+# entries of each bounded lru cache: a verify visit or a CLI query touches at
+# most 24 manifolds (m, up to 7 covers and 16 candidate bases in
+# quotients_of), so nothing is evicted within one
+_BOUND = 32
+
+
+@lru_cache(maxsize=_BOUND)
 def fundamental_group(m: NilManifold) -> FinitePresentation:
     """Standard presentation of pi_1 of the Nil manifold m, cached by m.
 

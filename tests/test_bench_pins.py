@@ -15,8 +15,12 @@ this test makes it fail in tier-1 instead of in perfbench/selftest.py.
   rewriting; item 5 would count syllables instead).
 * spans.CACHED names the four lru-cached functions, fundamental_group, h1,
   enumerate_epis and equivalence_classes, and cached_functions() and
-  clear_caches() need their cache_clear (item 8 drops or bounds them); the
-  tracer's wrapper reads cache_info.
+  clear_caches() need their cache_clear; the tracer's wrapper reads
+  cache_info.  fundamental_group and equivalence_classes are bounded at
+  presentation._BOUND entries, h1 and enumerate_epis are not.  The static
+  tables built at import, presentation._ROW_PARTS and epimorphisms._MOD2,
+  are no lru caches: clear_caches() leaves them, as a fresh process has
+  them.
 * workloads.check_claim calls nilbu.index_one_case(m, phi) and
   nilbu.index_three_case(m, phi) with the pair (item 6 drops the m).
 """

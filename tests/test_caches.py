@@ -1,0 +1,41 @@
+"""Every nilbu cache and table stays bounded however deep the sweep goes.
+
+fundamental_group and equivalence_classes keep at most _BOUND entries; h1
+and enumerate_epis are unbounded, but every manifold's characters share
+the bit tuples of the mod-2 table, which is built at import with one entry
+per family row and parity of b and never grows.
+"""
+
+import os
+import subprocess
+import sys
+
+from nilbu import (NilManifold, enumerate_epis, epimorphisms,
+                   equivalence_classes, fundamental_group, h1, verify_sweep)
+from nilbu.presentation import _BOUND
+
+
+def test_caches_stay_bounded_through_deeper_sweeps():
+    for cached in (fundamental_group, h1, enumerate_epis,
+                   equivalence_classes):
+        cached.cache_clear()
+    for depth in (16, 64):
+        assert verify_sweep(depth)["ok"], depth
+        assert fundamental_group.cache_info().currsize <= _BOUND, depth
+        assert equivalence_classes.cache_info().currsize <= _BOUND, depth
+        assert len(epimorphisms._MOD2) == 30, depth
+        near = enumerate_epis(NilManifold("T", 2))
+        far = enumerate_epis(NilManifold("T", 10 ** 12))
+        assert len(near) == len(far) == 7, depth
+        assert all(a.bits is b.bits for a, b in zip(near, far)), depth
+
+
+def test_import_fills_no_cache():
+    src = os.path.dirname(os.path.dirname(epimorphisms.__file__))
+    code = ("import nilbu; print(*(f.cache_info().currsize for f in "
+            "(nilbu.fundamental_group, nilbu.h1, nilbu.enumerate_epis, "
+            "nilbu.equivalence_classes)))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out == "0 0 0 0\n"

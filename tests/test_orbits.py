@@ -1,9 +1,11 @@
 """The orbit closure over bit tuples against the character-level reference.
 
 helpers.equivalence_classes closes orbits through apply_move, building and
-checking a character for every image.  nilbu's equivalence_classes works on
-bit tuples and looks each image up among the checked epimorphisms; both must
-give the same partition, and an image outside them must be an error.
+checking a character for every image.  nilbu's equivalence_classes reads the
+orbits of the manifold's row and parity from a table built at import by
+epimorphisms._mod2_layer, which works on bit tuples and looks each image up
+among the epimorphisms; both must give the same partition, and an image
+outside them must be an error.
 """
 
 import pytest
@@ -40,9 +42,9 @@ def test_image_outside_the_epimorphisms_raises(monkeypatch):
     monkeypatch.setattr(epimorphisms, "_move_bits",
                         lambda bits, move, m: (0,) * len(bits))
     with pytest.raises(InvalidCharacter):
-        equivalence_classes.__wrapped__(NilManifold("T", 2))
+        epimorphisms._mod2_layer(NilManifold("T", 2))
     # on T(3) the relator v1 v2 v1^-1 v2^-1 h^-3 has odd image when phi(h) = 1
     monkeypatch.setattr(epimorphisms, "_move_bits",
                         lambda bits, move, m: (0, 1, 1))
     with pytest.raises(InvalidCharacter):
-        equivalence_classes.__wrapped__(NilManifold("T", 3))
+        epimorphisms._mod2_layer(NilManifold("T", 3))

@@ -89,6 +89,9 @@ def test_classes_sharing_a_cover_are_reported(monkeypatch):
     # without its shears T(1)'s one class of three falls apart into three
     # classes, all covered by T(2): the partition is then too fine
     monkeypatch.setitem(epimorphisms._FAMILY_MOVES, "T", ())
+    for b in (1, 2):  # the T rows of the table, rebuilt without the shears
+        monkeypatch.setitem(epimorphisms._MOD2, ("T", (), b % 2),
+                            epimorphisms._mod2_layer(NilManifold("T", b)))
     epimorphisms.equivalence_classes.cache_clear()
     try:
         failures = verify_sweep(0)["failures"]
