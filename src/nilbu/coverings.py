@@ -22,7 +22,7 @@ fixes phi(h) once e(base) and e(cover) are known.
 from __future__ import annotations
 
 from . import bu_index
-from .epimorphisms import Z2Char, equivalence_classes
+from .epimorphisms import Z2Char, class_representatives
 from .homology import abelian_invariants, h1
 from .presentation import fundamental_group, reidemeister_schreier
 from .seifert import ROWS, NilManifold, Record, cd_invariants
@@ -125,7 +125,9 @@ def quotients_of(m: NilManifold) -> tuple[CoveringDescriptor, ...]:
         for phi(h) = h, so a class with the other h-bit covers a manifold of
         another Euler number and is not tried.
 
-    Each remaining class goes through double_cover.  Sorted by base encoding.
+    Each remaining class is built only as its representative, the least
+    member, checked as a Z2Char of the base, and goes through double_cover.
+    Sorted by base encoding.
     """
     c_m, l_m = m.c, m.row.lcm
     found = []
@@ -138,9 +140,11 @@ def quotients_of(m: NilManifold) -> tuple[CoveringDescriptor, ...]:
             if rem or b_cand < row.b_min:
                 continue
             base = NilManifold(family, b_cand, betas)
-            for cls in equivalence_classes(base).classes:
-                rep = cls.representative
-                if rep.h == h and double_cover(rep) == m:
+            for bits in class_representatives(base):
+                if bits[-1] != h:
+                    continue
+                rep = Z2Char(base, bits)
+                if double_cover(rep) == m:
                     found.append(CoveringDescriptor(
                         rep, m, bu_index.z2_index(rep)))
     found.sort(key=lambda d: (d.base.encode(), d.phi.bits))

@@ -271,7 +271,7 @@ _MOD2 = {(family, betas, b % 2): _mod2_layer(NilManifold(family, b, betas))
          for b in (row.b_min, row.b_min + 1)}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_BOUND)
 def enumerate_epis(m: NilManifold) -> tuple[Z2Char, ...]:
     """All epimorphisms pi_1(m) -> Z2, lexicographic in the bit tuple.
 
@@ -294,6 +294,15 @@ def equivalence_classes(m: NilManifold) -> EpiClassPartition:
     _, orbits = _MOD2[m.family, m.betas, m.b % 2]
     return EpiClassPartition(m, tuple(
         EpiClass(tuple(epis[i] for i in orbit)) for orbit in orbits))
+
+
+def class_representatives(m: NilManifold) -> tuple[tuple[int, ...], ...]:
+    """The bits of each class representative of m, the least member of its
+    orbit in _MOD2, in the order of equivalence_classes(m); not yet checked
+    as characters of m (Z2Char does that).
+    """
+    bits, orbits = _MOD2[m.family, m.betas, m.b % 2]
+    return tuple(bits[orbit[0]] for orbit in orbits)
 
 
 def expected_epi_count(m: NilManifold) -> int:

@@ -15,6 +15,7 @@ Recognizing badly presented Z-modules, Linear Algebra Appl. 192, 1993).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain, islice
 
 from .presentation import (FinitePresentation, check_bits, exponent_matrix,
                            fundamental_group)
@@ -39,19 +40,6 @@ def smith_normal_form(m):
     if any(len(row) != nc for row in A):
         raise InvariantError("ragged matrix")
     U, V = identity(nr), identity(nc)
-
-    def row_combine(i, j, q):
-        # row_i -= q * row_j
-        A[i] = [x - q * y for x, y in zip(A[i], A[j])]
-        U[i] = [x - q * y for x, y in zip(U[i], U[j])]
-
-    def col_combine(j, i, q):
-        # col_j -= q * col_i
-        for row in A:
-            row[j] -= q * row[i]
-        for row in V:
-            row[j] -= q * row[i]
-
     t = 0
     while t < min(nr, nc):
         pivot = None
@@ -61,34 +49,54 @@ def smith_normal_form(m):
                     pivot = (abs(x), i, j)
         if pivot is None:
             break
-        if pivot[1] != t:
-            A[t], A[pivot[1]] = A[pivot[1]], A[t]
-            U[t], U[pivot[1]] = U[pivot[1]], U[t]
-        if pivot[2] != t:
+        _, pi, pj = pivot
+        if pi != t:
+            A[t], A[pi] = A[pi], A[t]
+            U[t], U[pi] = U[pi], U[t]
+        if pj != t:
             for row in A:
-                row[t], row[pivot[2]] = row[pivot[2]], row[t]
+                row[t], row[pj] = row[pj], row[t]
             for row in V:
-                row[t], row[pivot[2]] = row[pivot[2]], row[t]
-        p = A[t][t]
-        # knock column/row entries down; any remainder is strictly smaller
-        # than the pivot, so looping back makes progress
+                row[t], row[pj] = row[pj], row[t]
+        At, Ut = A[t], U[t]
+        p = At[t]
+        # knock column/row entries down, row_i -= q * row_t and col_j -= q *
+        # col_t (a row whose col_t entry is 0 is left as it is); any
+        # remainder is strictly smaller than the pivot, so looping back
+        # makes progress
         dirty = False
         for i in range(t + 1, nr):
-            if A[i][t] % p != 0:
-                row_combine(i, t, A[i][t] // p)
+            q, r = divmod(A[i][t], p)
+            if r:
+                A[i] = [x - q * y for x, y in zip(A[i], At)]
+                U[i] = [x - q * y for x, y in zip(U[i], Ut)]
                 dirty = True
         for j in range(t + 1, nc):
-            if A[t][j] % p != 0:
-                col_combine(j, t, A[t][j] // p)
+            q, r = divmod(At[j], p)
+            if r:
+                for row in A:
+                    if row[t]:
+                        row[j] -= q * row[t]
+                for row in V:
+                    if row[t]:
+                        row[j] -= q * row[t]
                 dirty = True
         if dirty:
             continue
         for i in range(t + 1, nr):
             if A[i][t]:
-                row_combine(i, t, A[i][t] // p)
+                q = A[i][t] // p
+                A[i] = [x - q * y for x, y in zip(A[i], At)]
+                U[i] = [x - q * y for x, y in zip(U[i], Ut)]
         for j in range(t + 1, nc):
-            if A[t][j]:
-                col_combine(j, t, A[t][j] // p)
+            if At[j]:
+                q = At[j] // p
+                for row in A:
+                    if row[t]:
+                        row[j] -= q * row[t]
+                for row in V:
+                    if row[t]:
+                        row[j] -= q * row[t]
         stray = None  # a unit pivot divides everything
         for i in range(t + 1, nr if abs(p) > 1 else t + 1):
             if any(x % p for x in A[i][t + 1:]):
@@ -96,11 +104,12 @@ def smith_normal_form(m):
                 break
         if stray is not None:
             # fold the offending row into row t so the pivot shrinks next pass
-            row_combine(t, stray, -1)
+            A[t] = [x + y for x, y in zip(At, A[stray])]
+            U[t] = [x + y for x, y in zip(Ut, U[stray])]
             continue
         if p < 0:
-            A[t] = [-x for x in A[t]]
-            U[t] = [-x for x in U[t]]
+            A[t] = [-x for x in At]
+            U[t] = [-x for x in Ut]
         t += 1
     return A, U, V
 
@@ -165,38 +174,53 @@ def abelianization(pres: FinitePresentation) -> AbelianGroup:
 def abelian_invariants(pres: FinitePresentation) -> tuple[int, tuple[int, ...]]:
     """abelianization(pres).decomposition, without generator images.
 
-    Each relator's exponent sums form a sparse row.  While some row has an
-    entry +-1 on a generator, exact row operations clear that generator from
-    the other rows, and the row and the generator are dropped: the relation
-    expresses the generator through the others, so it adds only an invariant
-    factor 1.  The Smith loop then runs on the core left, U and V unused;
-    the free rank is the generators left minus the core's rank (Havas, Holt
-    and Rees 1993; Cohen 1993, Alg. 2.4.14).
+    Each relator's exponent sums form a sparse row, added up syllable by
+    syllable; empty rows are dropped.  A pass runs through the rows, and
+    each row with an entry +-1 on a generator is a pivot: exact row
+    operations clear that generator from the other rows, and the row and
+    the generator are dropped, since the relation expresses the generator
+    through the others and adds only an invariant factor 1.  Passes repeat
+    while one finds a pivot, as an elimination can give a unit to a row
+    already passed.  The Smith loop then runs on the core left, U and V
+    unused; the free rank is the generators left minus the core's rank
+    (Havas, Holt and Rees 1993; Cohen 1993, Alg. 2.4.14).
     """
-    rows = [{gen: x for gen, x in enumerate(row, 1) if x}
-            for row in exponent_matrix(pres)]
+    rows = []
+    for word in pres.words:
+        row = {}
+        for gen, exp in word:
+            x = row.get(gen, 0) + exp
+            if x:
+                row[gen] = x
+            else:
+                del row[gen]
+        if row:
+            rows.append(row)
     left = len(pres.generators)
-    i = 0
-    while i < len(rows):
-        pivot = rows[i]
-        for gen, u in pivot.items():
-            if u == 1 or u == -1:
-                break
-        else:
-            i += 1
-            continue
-        del rows[i], pivot[gen]
-        left -= 1
-        i = 0  # the elimination can give a unit to a row already passed
-        for row in rows:
-            q = row.pop(gen, 0) * u  # row -= q * pivot clears gen
-            if q:
-                for k, x in pivot.items():
-                    y = row.get(k, 0) - q * x
-                    if y:
-                        row[k] = y
-                    else:
-                        del row[k]
+    pivots = True
+    while pivots:
+        pivots = False
+        kept = []
+        for i, pivot in enumerate(rows):
+            for gen, u in pivot.items():
+                if u == 1 or u == -1:
+                    break
+            else:
+                kept.append(pivot)
+                continue
+            del pivot[gen]
+            left -= 1
+            pivots = True
+            for row in chain(kept, islice(rows, i + 1, None)):
+                q = row.pop(gen, 0) * u  # row -= q * pivot clears gen
+                if q:
+                    for k, x in pivot.items():
+                        y = row.get(k, 0) - q * x
+                        if y:
+                            row[k] = y
+                        else:
+                            del row[k]
+        rows = kept
     gens = sorted({gen for row in rows for gen in row})
     S, _, _ = smith_normal_form([[row.get(gen, 0) for gen in gens]
                                  for row in rows if row])

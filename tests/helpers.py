@@ -13,7 +13,10 @@ class of every candidate base that the Euler number allows.  epi_bits is the
 reference for the integer-mask enumeration of enumerate_epis: it tries every
 bit tuple through odd_relator.  standard_presentation is the reference for
 fundamental_group, which shares each family row's relators: it builds every
-relator of pi_1 afresh for each manifold.
+relator of pi_1 afresh for each manifold.  smith_normal_form is the
+reference for nilbu's tuned Smith loop: the same pivot rule and operation
+order through two combine closures, every column operation touching every
+row, so the two must return identical (S, U, V).
 """
 
 from itertools import groupby, product
@@ -24,6 +27,7 @@ from nilbu import (CoveringDescriptor, EpiClass, EpiClassPartition,
                    NilManifold, apply_move, available_moves,
                    check_epimorphism, double_cover, enumerate_epis,
                    fundamental_group, z2_index)
+from nilbu.homology import identity
 from nilbu.seifert import FAMILIES, ROWS
 
 
@@ -60,6 +64,83 @@ def determinant(m) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def smith_normal_form(m):
+    """(S, U, V) with S = U * m * V, by the pivot rule of nilbu's loop.
+
+    The pivot is the smallest nonzero |entry| of the working submatrix, ties
+    broken row-major; entries are knocked down by the pivot's quotients,
+    looping back while a remainder is left, and a row with an entry the
+    pivot does not divide is folded into the pivot row.
+    """
+    A = [list(row) for row in m]
+    nr = len(A)
+    nc = len(A[0]) if nr else 0
+    if any(len(row) != nc for row in A):
+        raise InvariantError("ragged matrix")
+    U, V = identity(nr), identity(nc)
+
+    def row_combine(i, j, q):
+        # row_i -= q * row_j
+        A[i] = [x - q * y for x, y in zip(A[i], A[j])]
+        U[i] = [x - q * y for x, y in zip(U[i], U[j])]
+
+    def col_combine(j, i, q):
+        # col_j -= q * col_i
+        for row in A:
+            row[j] -= q * row[i]
+        for row in V:
+            row[j] -= q * row[i]
+
+    t = 0
+    while t < min(nr, nc):
+        pivot = None
+        for i in range(t, nr):
+            for j, x in enumerate(A[i][t:], t):
+                if x and (pivot is None or abs(x) < pivot[0]):
+                    pivot = (abs(x), i, j)
+        if pivot is None:
+            break
+        if pivot[1] != t:
+            A[t], A[pivot[1]] = A[pivot[1]], A[t]
+            U[t], U[pivot[1]] = U[pivot[1]], U[t]
+        if pivot[2] != t:
+            for row in A:
+                row[t], row[pivot[2]] = row[pivot[2]], row[t]
+            for row in V:
+                row[t], row[pivot[2]] = row[pivot[2]], row[t]
+        p = A[t][t]
+        dirty = False
+        for i in range(t + 1, nr):
+            if A[i][t] % p != 0:
+                row_combine(i, t, A[i][t] // p)
+                dirty = True
+        for j in range(t + 1, nc):
+            if A[t][j] % p != 0:
+                col_combine(j, t, A[t][j] // p)
+                dirty = True
+        if dirty:
+            continue
+        for i in range(t + 1, nr):
+            if A[i][t]:
+                row_combine(i, t, A[i][t] // p)
+        for j in range(t + 1, nc):
+            if A[t][j]:
+                col_combine(j, t, A[t][j] // p)
+        stray = None  # a unit pivot divides everything
+        for i in range(t + 1, nr if abs(p) > 1 else t + 1):
+            if any(x % p for x in A[i][t + 1:]):
+                stray = i
+                break
+        if stray is not None:
+            row_combine(t, stray, -1)
+            continue
+        if p < 0:
+            A[t] = [-x for x in A[t]]
+            U[t] = [-x for x in U[t]]
+        t += 1
+    return A, U, V
 
 
 def inverse_word(word):

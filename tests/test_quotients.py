@@ -2,14 +2,16 @@
 
 helpers.quotients_of tries every class of every base that the Euler number
 allows.  nilbu's quotients_of skips family rows by lcm(a_i) and classes by
-their h-bit; both must find the same descriptors (base, phi bits, index),
-and the pruned search may only try candidates that obey both rules.
+their h-bit, and builds only each class's representative; both must find
+the same descriptors (base, phi bits, index), and the pruned search may only
+try candidates that obey both rules.
 """
 
 import pytest
 
 import helpers
-from nilbu import NilManifold, coverings, euler_number, quotients_of, sweep
+from nilbu import (NilManifold, coverings, enumerate_epis, equivalence_classes,
+                   euler_number, quotients_of, sweep)
 from nilbu.seifert import ROWS
 
 pytest.importorskip("hypothesis")
@@ -37,7 +39,7 @@ def large_covers(draw):
     # a random manifold is rarely a double cover; the cover of a random
     # base and class always is
     base = draw(large_manifolds())
-    classes = coverings.equivalence_classes(base).classes
+    classes = equivalence_classes(base).classes
     if not classes:
         return base
     rep = draw(st.sampled_from(classes)).representative
@@ -52,19 +54,20 @@ def test_pruned_search_matches_reference_at_large_b(m):
 
 def test_search_tries_only_candidates_that_obey_both_rules(monkeypatch):
     bases, covers = [], []
-    classes_of = coverings.equivalence_classes
+    representatives_of = coverings.class_representatives
     cover_of = coverings.double_cover
 
-    def recording_classes(base):
+    def recording_representatives(base):
         bases.append(base)
-        return classes_of(base)
+        return representatives_of(base)
 
     def recording_cover(phi):
         cover = cover_of(phi)
         covers.append(cover)
         return cover
 
-    monkeypatch.setattr(coverings, "equivalence_classes", recording_classes)
+    monkeypatch.setattr(coverings, "class_representatives",
+                        recording_representatives)
     monkeypatch.setattr(coverings, "double_cover", recording_cover)
     for m in sweep(16):
         bases.clear()
@@ -74,3 +77,12 @@ def test_search_tries_only_candidates_that_obey_both_rules(monkeypatch):
         assert all(n.row.lcm in (lcm, 2 * lcm) for n in bases), m
         e = euler_number(m.seifert())
         assert all(euler_number(c.seifert()) == e for c in covers), m
+
+
+def test_search_builds_no_partition_and_no_epimorphism_list():
+    calls = [(f.cache_info().hits, f.cache_info().misses)
+             for f in (enumerate_epis, equivalence_classes)]
+    for m in sweep(16):
+        quotients_of(m)
+    assert calls == [(f.cache_info().hits, f.cache_info().misses)
+                     for f in (enumerate_epis, equivalence_classes)]

@@ -3,16 +3,24 @@
 Each matrix is checked three ways: S = U * A * V with U and V unimodular,
 S diagonal with the divisibility chain d_1 | d_2 | ... and zeros last, and
 the diagonal against sympy's Smith normal form as an independent route.
-The covering oracle's invariants (unit-pivot elimination, then the same
-Smith loop on the core) must match the full abelianization.  A list of
-lists has no column count when it has no rows, so a 0 x N matrix is the
-empty list; an N x 0 matrix is N empty rows.
+The tuned loop must return the very (S, U, V) of the reference loop in
+tests/helpers.py on those matrices, on every H1 relation matrix of
+sweep(16) and on each family row's at b = 10^12.  The covering oracle's
+invariants (unit-pivot elimination, then the same Smith loop on the core)
+must match the full abelianization, also on commutator relators, whose
+rows sum to zero, on generators that no relator mentions and with no
+relators at all.  A list of lists has no column count when it has no rows,
+so a 0 x N matrix is the empty list; an N x 0 matrix is N empty rows.
 """
 
 import pytest
 
-from nilbu import FinitePresentation, abelianization, smith_normal_form
+import helpers
+from nilbu import (FinitePresentation, NilManifold, abelianization,
+                   fundamental_group, smith_normal_form, sweep)
 from nilbu.homology import abelian_invariants
+from nilbu.presentation import exponent_matrix
+from nilbu.seifert import ROWS
 
 from helpers import determinant, matmul
 
@@ -88,6 +96,26 @@ def test_smith_normal_form_properties(m):
     assert m == original
 
 
+@settings(max_examples=200, deadline=None)
+@given(matrices)
+def test_tuned_smith_loop_matches_reference(m):
+    assert smith_normal_form(m) == helpers.smith_normal_form(m)
+
+
+def _h1_matrix(m):
+    # the relation matrix abelianization reduces: one column per relator
+    return [list(column) for column in
+            zip(*exponent_matrix(fundamental_group(m)))]
+
+
+def test_tuned_smith_loop_matches_reference_on_h1_matrices():
+    manifolds = list(sweep(16)) + [NilManifold(family, 10 ** 12, betas)
+                                   for family, betas in ROWS]
+    for m in manifolds:
+        A = _h1_matrix(m)
+        assert smith_normal_form(A) == helpers.smith_normal_form(A), m
+
+
 @st.composite
 def presentations(draw):
     g = draw(st.integers(1, 5))
@@ -98,7 +126,36 @@ def presentations(draw):
                               tuple(words))
 
 
-@settings(max_examples=40, deadline=None)
-@given(presentations())
+@st.composite
+def sparse_presentations(draw):
+    # commutators [x, y], whose rows sum to zero, among short relators, on
+    # more generators than any relator mentions; the relator list may be empty
+    g = draw(st.integers(1, 7))
+    gen = st.integers(1, max(1, g - 2))
+    commutator = st.tuples(gen, gen).map(
+        lambda xy: ((xy[0], 1), (xy[1], 1), (xy[0], -1), (xy[1], -1)))
+    short = st.lists(st.tuples(gen, st.integers(-6, 6).filter(bool)),
+                     max_size=4).map(tuple)
+    words = draw(st.lists(st.one_of(commutator, short), max_size=6))
+    return FinitePresentation(tuple("x%d" % k for k in range(1, g + 1)),
+                              tuple(words))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(presentations(), sparse_presentations()))
 def test_invariants_without_transforms_match_abelianization(pres):
     assert abelian_invariants(pres) == abelianization(pres).decomposition
+
+
+@pytest.mark.parametrize("generators, words, expected", [
+    (("x", "y"), (), (2, ())),
+    (("x", "y", "z"), (((1, 1), (2, 1), (1, -1), (2, -1)),), (3, ())),
+    (("x", "y", "z"), (((1, 1), (2, 1), (1, -1), (2, -1)), ((1, 4),)),
+     (2, (4,))),
+    (("x", "y", "z", "w"), (((1, 2), (2, 1)), ((2, 3), (1, 1))), (2, (5,))),
+])
+def test_invariants_match_abelianization_on_examples(generators, words,
+                                                     expected):
+    pres = FinitePresentation(generators, words)
+    assert abelian_invariants(pres) == expected
+    assert abelianization(pres).decomposition == expected
