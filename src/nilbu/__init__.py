@@ -19,19 +19,19 @@ from .presentation import (FinitePresentation, NotAHomomorphism, NotSurjective,
                            check_epimorphism, exponent_matrix, format_word,
                            free_reduce, fundamental_group,
                            reidemeister_schreier)
-from .homology import (AbelianGroup, abelianization, h1, h1_closed_form,
-                       h1_stated_relations, mod2_rank, smith_normal_form,
-                       torsion_subgroup_killed_by)
+from .homology import (AbelianGroup, abelianization, h1, mod2_rank,
+                       smith_normal_form, torsion_subgroup_killed_by)
 from .epimorphisms import (ConeSlide, ConeSwap, EpiClass, EpiClassPartition,
                            FiberFlip, InvalidCharacter, KleinSwap,
                            MoveNotApplicable, TorusShear, Z2Char, apply_move,
                            available_moves, char_for, enumerate_epis,
-                           equivalence_classes, expected_epi_count,
-                           expected_partition_shape, validate_char)
-from .coverings import (CoveringDescriptor, double_cover,
-                        expected_quotient_diagram, quotients_of, verify_cover)
-from .bu_index import (cup_cube_nonzero, index_is_one, index_one_case,
-                       index_report, index_three_case, z2_index)
+                           equivalence_classes, validate_char)
+from .paper import (expected_epi_count, expected_partition_shape,
+                    expected_quotient_diagram, h1_closed_form,
+                    h1_stated_relations, index_one_case, index_three_case)
+from .coverings import (CoveringDescriptor, double_cover, quotients_of,
+                        verify_cover)
+from .bu_index import cup_cube_nonzero, index_is_one, index_report, z2_index
 from .verify import verify_manifold, verify_sweep
 
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
 """Z2-index of a free involution pair via cohomological criteria.
 
 The pair is (m, phi), phi an epimorphism of m = phi.manifold cutting out the
-double cover; only the catalogs take m as well.  The index is 1, 2 or 3:
+double cover.  The index is 1, 2 or 3:
 
   * index 1 iff phi factors through the free quotient of H1 (equivalently,
     phi kills the torsion subgroup), which is when the classifying map
@@ -13,16 +13,16 @@ double cover; only the catalogs take m as well.  The index is 1, 2 or 3:
     be odd;
   * index 2 otherwise.
 
-The two conditions exclude each other; z2_index asserts that.  Each generic
-criterion has a transcribed per-family catalog next to it, and the test
-suite requires the two routes to agree everywhere.
+The two conditions exclude each other; z2_index asserts that.
+index_report also prints the case of the paper's catalog that matches.
 """
 
 from __future__ import annotations
 
-from .epimorphisms import Z2Char, validate_char
+from .epimorphisms import Z2Char
 from .homology import h1, torsion_subgroup_killed_by
-from .seifert import FAMILIES, NilManifold
+from .paper import index_one_case, index_three_case
+from .seifert import FAMILIES
 
 
 def index_is_one(phi: Z2Char) -> bool:
@@ -55,37 +55,6 @@ def z2_index(phi: Z2Char) -> int:
     if three:
         return 3
     return 2
-
-
-def index_one_case(m: NilManifold, phi: Z2Char) -> str | None:
-    """Catalog form of the index-1 criterion: matched case or None.
-
-    Index 1 happens exactly for the torus family with phi(h) = 0, and the
-    Klein family with phi(h) = 0 and both v-bits set.
-    """
-    validate_char(m, phi)
-    if m.family == "T" and phi.h == 0:
-        return "class T with phi(h) = 0"
-    if m.family == "K" and phi.h == 0 and phi.v == (1, 1):
-        return "class K with phi(h) = 0 and phi(v1) = phi(v2) = 1"
-    return None
-
-
-def index_three_case(m: NilManifold, phi: Z2Char) -> str | None:
-    """Catalog form of the index-3 criterion: matched case or None.
-
-    Index 3 happens exactly for: T or K with b = 2 mod 4 and phi(h) = 1;
-    333 with b = 2 + b1 + b2 + b3 mod 4; and 244 with phi(s1) = 1.
-    """
-    validate_char(m, phi)
-    fam, b = m.family, m.b
-    if fam in ("T", "K") and b % 4 == 2 and phi.h == 1:
-        return "class %s with b = 2 mod 4 and phi(h) = 1" % fam
-    if fam == "333" and (b - 2 - sum(m.betas)) % 4 == 0:
-        return "class 333 with b = 2 + b1 + b2 + b3 mod 4"
-    if fam == "244" and phi.s[0] == 1:
-        return "class 244 with phi(s1) = 1"
-    return None
 
 
 def index_report(phi: Z2Char) -> dict:

@@ -9,8 +9,7 @@ invariant factors with H1 of the claimed cover and checks the Euler relation
 by its own cross-multiplication of (c, lcm), which cd_invariants reads off
 the Seifert invariants, not the family rows.  quotients_of inverts
 double_cover over the finitely many candidate bases, which reproduces the
-known involution diagrams; those diagrams are also transcribed here
-(expected_quotient_diagram) so the two routes can be compared mechanically.
+known involution diagrams.
 
 The search is cut by two exact rules before double_cover decides.  A base
 row must have lcm(a_i) equal to l_m or 2 l_m, since the preimages of a fibre
@@ -149,55 +148,3 @@ def quotients_of(m: NilManifold) -> tuple[CoveringDescriptor, ...]:
                         rep, m, bu_index.z2_index(rep)))
     found.sort(key=lambda d: (d.base.encode(), d.phi.bits))
     return tuple(found)
-
-
-def expected_quotient_diagram(m: NilManifold) -> tuple[tuple[NilManifold, int], ...]:
-    """Transcribed involution diagrams: (base, index) pairs, sorted.
-
-    The families 22, 236 and 244 with b2 != b3 are never double covers
-    within the geometry, so their diagrams are empty.
-    """
-    fam, b = m.family, m.b
-    out: list[tuple[NilManifold, int]] = []
-    if fam == "T":
-        if b % 2:
-            out = [(NilManifold("T", 2 * b), 3)]
-        else:
-            out = [(NilManifold("T", 2 * b), 2),
-                   (NilManifold("T", b // 2), 1),
-                   (NilManifold("2222", b // 2 - 2), 2),
-                   (NilManifold("K", b // 2), 1)]
-    elif fam == "K":
-        if b % 2:
-            out = [(NilManifold("K", 2 * b), 3)]
-        else:
-            out = [(NilManifold("K", 2 * b), 2),
-                   (NilManifold("K", b // 2), 2),
-                   (NilManifold("22", b // 2 - 1), 2)]
-    elif fam == "2222":
-        if b % 2:
-            out = [(NilManifold("244", (b - 1) // 2, (1, 3)), 2)]
-        else:
-            out = [(NilManifold("2222", b // 2 - 1), 2),
-                   (NilManifold("22", b // 2), 2),
-                   (NilManifold("244", b // 2 - 1, (3, 3)), 2),
-                   (NilManifold("244", b // 2, (1, 1)), 2)]
-    elif fam == "244":
-        b2, b3 = m.betas
-        if b2 == b3:
-            x = b2
-            if b % 2:
-                out = [(NilManifold("244", (b - 1) // 2, (1, x)), 3)]
-            else:
-                out = [(NilManifold("244", b // 2 - 1, (x, 3)), 3)]
-    elif fam == "333":
-        # x = repeated beta, y = the remaining one (x = y when all equal)
-        reps = {(1, 1, 1): (1, 1), (1, 1, 2): (1, 2),
-                (1, 2, 2): (2, 1), (2, 2, 2): (2, 2)}
-        x, y = reps[m.betas]
-        out = [(NilManifold("333", 2 * b + 2 * x + y - 3, (3 - y, 3 - x, 3 - x)),
-                3 if (b - y) % 2 else 2)]
-        if (b - y) % 2 == 0:
-            out.append((NilManifold("236", (b - y) // 2, (x, 4 * y - 3)), 2))
-    out.sort(key=lambda pair: pair[0].encode())
-    return tuple(out)

@@ -303,38 +303,3 @@ def class_representatives(m: NilManifold) -> tuple[tuple[int, ...], ...]:
     """
     bits, orbits = _MOD2[m.family, m.betas, m.b % 2]
     return tuple(bits[orbit[0]] for orbit in orbits)
-
-
-def expected_epi_count(m: NilManifold) -> int:
-    """Closed-form number of Z2-epimorphisms for m's family row."""
-    fam, b = m.family, m.b
-    if fam in ("T", "K"):
-        return 7 if b % 2 == 0 else 3
-    if fam == "22":
-        return 3
-    if fam == "2222":
-        return 7
-    if fam == "236":
-        return 1
-    if fam == "244":
-        return 3
-    return 1 if (b + sum(m.betas)) % 2 == 0 else 0  # 333
-
-
-def expected_partition_shape(m: NilManifold) -> tuple[int, ...]:
-    """Closed-form class sizes (ascending) for m's family row."""
-    fam, b = m.family, m.b
-    if fam == "T":
-        return (3,) if b % 2 else (3, 4)
-    if fam == "K":
-        return (1, 2) if b % 2 else (1, 2, 4)
-    if fam == "22":
-        return (1, 2)
-    if fam == "2222":
-        return (1, 6)
-    if fam == "236":
-        return (1,)
-    if fam == "244":
-        b2, b3 = m.betas
-        return (1, 2) if b2 == b3 else (1, 1, 1)
-    return (1,) if (b + sum(m.betas)) % 2 == 0 else ()  # 333

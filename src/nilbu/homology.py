@@ -262,70 +262,3 @@ def torsion_subgroup_killed_by(bits, group: AbelianGroup) -> bool:
     for v in basis:
         phi = min(phi, phi ^ v)
     return phi == 0
-
-
-def h1_closed_form(m: NilManifold) -> tuple[int, tuple[int, ...]]:
-    """(free rank, invariant factors) of H1, from the per-family closed forms."""
-    b = m.b
-    if m.family == "T":
-        return (2, (b,) if b > 1 else ())
-    if m.family == "K":
-        return (1, (4,) if b % 2 else (2, 2))
-    if m.family == "22":
-        return (0, (4, 4))
-    if m.family == "2222":
-        return (0, (2, 2, 2 * (2 * b + 4)))
-    if m.family == "236":
-        b2, b3 = m.betas
-        return (0, (6 * (6 * b + 3 + 2 * b2 + b3),))
-    if m.family == "244":
-        b2, b3 = m.betas
-        return (0, (2, 4 * (4 * b + 2 + b2 + b3)))
-    c = 3 * b + sum(m.betas)  # 333
-    return (0, (3, 3 * c))
-
-
-def h1_stated_relations(m: NilManifold) -> list[dict]:
-    """Generator relations that must vanish in H1, one coefficient dict each.
-
-    These are the closed-form generator descriptions turned into relations
-    (for instance h = -2 s1 becomes {h: 1, s1: 2}), plus the order
-    annihilations the decompositions assert.
-    """
-    b = m.b
-    fam = m.family
-    if fam == "T":
-        return [{"h": b}]
-    if fam == "K":
-        if b % 2:
-            # h = 2(v1 + v2), with v1 + v2 of order 4
-            return [{"h": 1, "v1": -2, "v2": -2}, {"v1": 4, "v2": 4}]
-        return [{"h": 2}, {"v1": 2, "v2": 2}]
-    if fam == "22":
-        return [{"h": 1, "s1": 2},
-                {"s2": 1, "s1": 2 * b + 1, "v1": 2},
-                {"s1": 4}, {"v1": 4}]
-    if fam == "2222":
-        c = 2 * b + 4
-        return [{"h": 1, "s1": 2},
-                {"s4": 1, "s1": 2 * b + 1, "s2": 1, "s3": 1},
-                {"s2": 2, "s1": -2}, {"s3": 2, "s1": -2},
-                {"s1": 2 * c}]
-    if fam == "236":
-        b2, b3 = m.betas
-        c = 6 * b + 3 + 2 * b2 + b3
-        k = 3 * (2 * b2 - 3)
-        return [{"h": 1, "s1": 2},
-                {"s3": 1, "s1": 2 * b + 1, "s2": 1},
-                {"s1": 1 + k, "s2": -k},           # s1 = k (s2 - s1)
-                {"s2": 6 * c, "s1": -6 * c}]
-    if fam == "244":
-        b2, b3 = m.betas
-        c = 4 * b + 2 + b2 + b3
-        return [{"h": 1, "s1": 2},
-                {"s3": 1, "s1": 2 * b + 1, "s2": 1},
-                {"s1": 2 * c},
-                {"s2": 4 * c, "s1": -4 * c}]
-    c = 3 * b + sum(m.betas)  # 333
-    return [{"s3": 1, "s1": 1, "s2": 1, "h": -b},
-            {"h": c}, {"s1": 3 * c}, {"s2": 3 * c}]

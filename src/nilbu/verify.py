@@ -1,4 +1,4 @@
-"""The cross-check sweep: every closed form against its independent route.
+"""The cross-check sweep: every computed result against the paper's.
 
 Layers are called through their modules (coverings.double_cover, not a bound
 double_cover), so a wrapper patched onto a module's function sees this path.
@@ -6,7 +6,7 @@ double_cover), so a wrapper patched onto a module's function sees this path.
 
 from __future__ import annotations
 
-from . import bu_index, coverings, epimorphisms, homology, seifert
+from . import bu_index, coverings, epimorphisms, homology, paper, seifert
 
 
 def verify_manifold(m: seifert.NilManifold) -> dict:
@@ -14,23 +14,23 @@ def verify_manifold(m: seifert.NilManifold) -> dict:
     failures = []
     tag = m.encode()
     group = homology.h1(m)
-    if group.decomposition != homology.h1_closed_form(m):
+    if group.decomposition != paper.h1_closed_form(m):
         failures.append("%s: h1 %r does not match closed form %r"
-                        % (tag, group.decomposition, homology.h1_closed_form(m)))
-    for rel in homology.h1_stated_relations(m):
+                        % (tag, group.decomposition, paper.h1_closed_form(m)))
+    for rel in paper.h1_stated_relations(m):
         if not group.is_zero_combination(rel):
             failures.append("%s: stated relation %r fails in H1" % (tag, rel))
     epis = epimorphisms.enumerate_epis(m)
-    if len(epis) != epimorphisms.expected_epi_count(m):
+    if len(epis) != paper.expected_epi_count(m):
         failures.append("%s: %d epimorphisms, expected %d"
-                        % (tag, len(epis), epimorphisms.expected_epi_count(m)))
+                        % (tag, len(epis), paper.expected_epi_count(m)))
     if len(epis) != 2 ** homology.mod2_rank(group) - 1:
         failures.append("%s: epi count disagrees with mod-2 rank" % tag)
     part = epimorphisms.equivalence_classes(m)
-    if part.shape != epimorphisms.expected_partition_shape(m):
+    if part.shape != paper.expected_partition_shape(m):
         failures.append("%s: partition shape %r, expected %r"
                         % (tag, part.shape,
-                           epimorphisms.expected_partition_shape(m)))
+                           paper.expected_partition_shape(m)))
     cover_of = {phi.bits: coverings.double_cover(phi) for phi in epis}
     rep_with = {}  # cover -> the first class representative that has it
     for cls in part.classes:
@@ -54,15 +54,15 @@ def verify_manifold(m: seifert.NilManifold) -> dict:
             failures.append("%s: oracle rejects cover %s for %s"
                             % (tag, cover.encode(), phi.describe()))
         if bu_index.index_is_one(phi) != \
-                (bu_index.index_one_case(m, phi) is not None):
+                (paper.index_one_case(m, phi) is not None):
             failures.append("%s: index-1 criterion vs catalog mismatch for %s"
                             % (tag, phi.describe()))
         if bu_index.cup_cube_nonzero(phi) != \
-                (bu_index.index_three_case(m, phi) is not None):
+                (paper.index_three_case(m, phi) is not None):
             failures.append("%s: index-3 criterion vs catalog mismatch for %s"
                             % (tag, phi.describe()))
     got = [(d.base, d.index) for d in coverings.quotients_of(m)]
-    expected = list(coverings.expected_quotient_diagram(m))
+    expected = list(paper.expected_quotient_diagram(m))
     if got != expected:
         failures.append("%s: involution diagram %r, expected %r"
                         % (tag, [(b.encode(), i) for b, i in got],
@@ -71,9 +71,16 @@ def verify_manifold(m: seifert.NilManifold) -> dict:
 
 
 def verify_sweep(depth: int = 16) -> dict:
-    """Cross-check sweep(depth): {"manifolds", "pairs", "failures", "ok"}."""
-    results = [verify_manifold(m) for m in seifert.sweep(depth)]
-    failures = [line for r in results for line in r["failures"]]
-    return {"manifolds": len(results),
-            "pairs": sum(r["pairs"] for r in results),
+    """Cross-check sweep(depth): {"manifolds", "pairs", "failures", "ok"}.
+
+    The totals are kept as running sums, not as a result per manifold.
+    """
+    manifolds = pairs = 0
+    failures = []
+    for m in seifert.sweep(depth):
+        result = verify_manifold(m)
+        manifolds += 1
+        pairs += result["pairs"]
+        failures += result["failures"]
+    return {"manifolds": manifolds, "pairs": pairs,
             "failures": failures, "ok": not failures}

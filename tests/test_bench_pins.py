@@ -6,13 +6,18 @@ refactor that removes or reshapes one of these names breaks the benchmark;
 this test makes it fail in tier-1 instead of in perfbench/selftest.py.
 
 * spans.TRACED names each traced function, and Tracer.install fetches every
-  entry with getattr.  Among them epimorphisms.validate_char (ROADMAP item 6
-  deletes it), presentation.reidemeister_schreier (item 7 moves it to
+  entry with getattr.  Among them epimorphisms.validate_char (ROADMAP item 1
+  deletes it), presentation.reidemeister_schreier (item 5 moves it to
   tests/helpers.py) and the layers that item 12's stats layer would count
   in the tracer's place.
+* Tracer.install wraps a traced name only where nilbu or one of the seven
+  modules in spans.LAYERS binds it, and nilbu.paper is not among them.  So
+  the catalogs in paper call epimorphisms.validate_char through the module:
+  a validate_char imported into paper would escape the wrapper, and the
+  sweep below would count no validate_char call.
 * Tracer._observe_fundamental_group and _observe_reidemeister_schreier read
-  result.relators (item 7 takes the oracle's rows straight from the
-  rewriting; item 5 would count syllables instead).
+  result.relators (item 5 takes the oracle's rows straight from the
+  rewriting; item 1 would count syllables instead).
 * spans.CACHED names the four lru-cached functions, fundamental_group, h1,
   enumerate_epis and equivalence_classes, and cached_functions() and
   clear_caches() need their cache_clear; the tracer's wrapper reads
@@ -25,7 +30,9 @@ this test makes it fail in tier-1 instead of in perfbench/selftest.py.
   are no lru caches: clear_caches() leaves them, as a fresh process has
   them.
 * workloads.check_claim calls nilbu.index_one_case(m, phi) and
-  nilbu.index_three_case(m, phi) with the pair (item 6 drops the m).
+  nilbu.index_three_case(m, phi) with the pair (item 1 drops the m), and
+  the other five transcriptions, all by the names that nilbu re-exports
+  from nilbu.paper; perfbench/selftest.py patches two of them there.
 """
 
 import os

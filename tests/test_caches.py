@@ -6,12 +6,14 @@ mod-2 table, which is built at import with one entry per family row and
 parity of b and never grows.  h1 is the one unbounded cache: z2_index and
 the oracle read H1 of the same covers and bases again across queries, and
 at that bound a warm query stream missed 4.3 times as often and ran 18%
-slower.
+slower.  Outside the caches, the memory that a sweep holds while it runs
+and frees by its return does not grow with depth either.
 """
 
 import os
 import subprocess
 import sys
+import tracemalloc
 
 from nilbu import (NilManifold, enumerate_epis, epimorphisms,
                    equivalence_classes, fundamental_group, h1, verify_sweep)
@@ -43,3 +45,21 @@ def test_import_fills_no_cache():
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
     assert out == "0 0 0 0\n"
+
+
+def _transient(depth):
+    # the traced peak of verify_sweep(depth) minus the traced size at return
+    tracemalloc.start()
+    try:
+        report = verify_sweep(depth)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["ok"], depth
+    return peak - size
+
+
+def test_sweep_memory_outside_the_caches_does_not_grow_with_depth():
+    for depth in (16, 64):  # fill the caches first
+        verify_sweep(depth)
+    assert _transient(64) - _transient(16) < 64 * 1024

@@ -161,13 +161,13 @@ def test_verify_json(capsys):
 
 
 def test_verify_reports_mismatch(capsys, monkeypatch):
-    real = nilbu.coverings.expected_quotient_diagram
+    real = nilbu.paper.expected_quotient_diagram
 
     def wrong(m):
         diagram = real(m)
         return diagram[:-1] if m.encode() == "T(1)" else diagram
 
-    monkeypatch.setattr(nilbu.coverings, "expected_quotient_diagram", wrong)
+    monkeypatch.setattr(nilbu.paper, "expected_quotient_diagram", wrong)
     line = "T(1): involution diagram [('T(2)', 3)], expected []"
     code, obj = run_json(capsys, "verify", "--b-max", "0")
     assert code == 2

@@ -7,7 +7,9 @@ sweep(6), or every (m, phi) pair on it, and asserts that the code both
 routes run lies within ALLOWED.  Every lru cache is cleared before each
 route's run, so a cache can only hide from a route code that the route
 itself already ran on an earlier sample.  A nested code object (a genexpr
-or lambda) is named by the function that holds it.
+or lambda) is named by the function that holds it.  Every transcribed route
+lives in nilbu.paper; test_paper_imports.py holds that split over every
+branch by import rules, and this test checks the helpers the routes share.
 """
 
 import inspect
@@ -17,8 +19,8 @@ import sys
 import pytest
 
 import nilbu
-from nilbu import (bu_index, coverings, epimorphisms, homology, presentation,
-                   seifert)
+from nilbu import (bu_index, coverings, epimorphisms, homology, paper,
+                   presentation, seifert)
 
 # shared code that may run on both routes: name -> why it decides nothing
 ALLOWED = {
@@ -36,17 +38,16 @@ PAIR_ROUTES = {
     "oracle": (lambda m, phi: coverings.double_cover(phi),
                lambda m, phi: coverings.verify_cover(phi, COVERS[phi])),
     "index 1": (lambda m, phi: bu_index.index_is_one(phi),
-                bu_index.index_one_case),
+                paper.index_one_case),
     "index 3": (lambda m, phi: bu_index.cup_cube_nonzero(phi),
-                bu_index.index_three_case),
+                paper.index_three_case),
 }
 MANIFOLD_ROUTES = {
-    "h1": (homology.h1, homology.h1_closed_form),
-    "epi count": (epimorphisms.enumerate_epis,
-                  epimorphisms.expected_epi_count),
+    "h1": (homology.h1, paper.h1_closed_form),
+    "epi count": (epimorphisms.enumerate_epis, paper.expected_epi_count),
     "partition": (epimorphisms.equivalence_classes,
-                  epimorphisms.expected_partition_shape),
-    "diagram": (coverings.quotients_of, coverings.expected_quotient_diagram),
+                  paper.expected_partition_shape),
+    "diagram": (coverings.quotients_of, paper.expected_quotient_diagram),
 }
 
 CACHED = (presentation.fundamental_group, homology.h1,
@@ -67,8 +68,8 @@ def _names():
             if inspect.iscode(const):
                 add(const, name)
 
-    for module in (bu_index, coverings, epimorphisms, homology, presentation,
-                   seifert):
+    for module in (bu_index, coverings, epimorphisms, homology, paper,
+                   presentation, seifert):
         short = module.__name__.rsplit(".", 1)[1]
         for obj in vars(module).values():
             if getattr(obj, "__module__", None) != module.__name__:

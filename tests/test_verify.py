@@ -10,7 +10,7 @@ its module.
 import pytest
 
 from nilbu import (NilManifold, bu_index, char_for, coverings, epimorphisms,
-                   homology, verify_sweep)
+                   homology, paper, verify_sweep)
 from nilbu.cli import main
 
 T1 = NilManifold("T", 1)
@@ -31,19 +31,19 @@ def _break(monkeypatch, module, name, args, wrong):
 
 CASES = {
     "h1_closed_form": (
-        homology, (T1,), lambda got: (2, (5,)),
+        paper, (T1,), lambda got: (2, (5,)),
         ["T(1): h1 (2, ()) does not match closed form (2, (5,))"]),
     "h1_stated_relations": (
-        homology, (T1,), lambda got: got + [{"v1": 1}],
+        paper, (T1,), lambda got: got + [{"v1": 1}],
         ["T(1): stated relation {'v1': 1} fails in H1"]),
     "expected_epi_count": (
-        epimorphisms, (T1,), lambda got: got + 1,
+        paper, (T1,), lambda got: got + 1,
         ["T(1): 3 epimorphisms, expected 4"]),
     "mod2_rank": (
         homology, None, lambda got: got + 1,
         ["T(1): epi count disagrees with mod-2 rank"]),
     "expected_partition_shape": (
-        epimorphisms, (T1,), lambda got: (1, 2),
+        paper, (T1,), lambda got: (1, 2),
         ["T(1): partition shape (3,), expected (1, 2)"]),
     # the oracle checks every cover double_cover gives, so it objects too
     "double_cover": (
@@ -58,10 +58,10 @@ CASES = {
         coverings, (PHI, NilManifold("T", 2)), lambda got: False,
         ["T(1): oracle rejects cover T(2) for s=() v=(1,0) h=0"]),
     "index_one_case": (
-        bu_index, (T1, PHI), lambda got: None,
+        paper, (T1, PHI), lambda got: None,
         ["T(1): index-1 criterion vs catalog mismatch for s=() v=(1,0) h=0"]),
     "index_three_case": (
-        bu_index, (T1, PHI), lambda got: "class T",
+        paper, (T1, PHI), lambda got: "class T",
         ["T(1): index-3 criterion vs catalog mismatch for s=() v=(1,0) h=0"]),
 }
 
