@@ -4,10 +4,12 @@ double_cover computes the Seifert data of the cover cut out by an epimorphism
 phi of m = phi.manifold in closed form per family, and asserts e(cover) =
 2^(1 - 2 phi(h)) e(base) on the integers (c, lcm), e = c / lcm, of the family
 rows.  verify_cover, the independent oracle, rewrites the fundamental group
-to the index-2 subgroup presentation (Reidemeister-Schreier), compares its
-invariant factors with H1 of the claimed cover and checks the Euler relation
-by its own cross-multiplication of (c, lcm), which cd_invariants reads off
-the Seifert invariants, not the family rows.  quotients_of inverts
+straight into the exponent-sum rows of the index-2 subgroup
+(Reidemeister-Schreier, presentation.kernel_rows, with no kernel
+presentation built), compares the rows' invariant factors with H1 of the
+claimed cover and checks the Euler relation by its own cross-multiplication
+of (c, lcm), which cd_invariants reads off the Seifert invariants, not the
+family rows.  quotients_of inverts
 double_cover over the finitely many candidate bases, which reproduces the
 known involution diagrams.
 
@@ -22,8 +24,8 @@ from __future__ import annotations
 
 from . import bu_index
 from .epimorphisms import Z2Char, class_representatives
-from .homology import abelian_invariants, h1
-from .presentation import fundamental_group, reidemeister_schreier
+from .homology import h1, row_invariants
+from .presentation import kernel_rows
 from .seifert import ROWS, NilManifold, Record, cd_invariants
 
 
@@ -96,16 +98,17 @@ def double_cover(phi: Z2Char) -> NilManifold:
 def verify_cover(phi: Z2Char, claimed: NilManifold) -> bool:
     """Oracle check of a claimed double cover, independent of double_cover.
 
-    Rewrites pi_1(phi.manifold) to the kernel presentation, abelianizes, and
-    compares invariant factors with h1(claimed); also checks the Euler number
-    relation by its own arithmetic on the Seifert invariants' (c, lcm), not
-    double_cover's.  True iff both hold.
+    Rewrites pi_1(phi.manifold) into the exponent-sum rows of ker(phi)
+    (kernel_rows), reduces them to invariant factors and compares those with
+    h1(claimed); also checks the Euler number relation by its own arithmetic
+    on the Seifert invariants' (c, lcm), not double_cover's.  True iff both
+    hold.
     """
     m = phi.manifold
-    sub = reidemeister_schreier(fundamental_group(m), phi.bits)
     c_m, _, l_m = cd_invariants(m.seifert())
     c, _, l = cd_invariants(claimed.seifert())
-    return (abelian_invariants(sub) == h1(claimed).decomposition
+    return (row_invariants(*kernel_rows(m, phi.bits))
+            == h1(claimed).decomposition
             and 2 ** phi.h * c * l_m == 2 ** (1 - phi.h) * c_m * l)
 
 

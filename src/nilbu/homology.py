@@ -5,11 +5,13 @@ unbounded (no overflow to report, ever).  The Smith normal form returns the
 unimodular transforms, which the abelianization uses to express generator
 images in the invariant-factor basis for the epimorphism counts and the
 index-1 torsion test (a mod-2 span test on integer masks).  The covering
-oracle compares invariant factors only (abelian_invariants): its sparse
-Reidemeister-Schreier relation matrices have mostly unit entries, so it
-first eliminates unit pivots, each adding only an invariant factor 1, and
-runs the same Smith loop on the small core left (Havas, Holt and Rees,
+oracle compares invariant factors only: row_invariants takes its sparse
+Reidemeister-Schreier rows, which have mostly unit entries, first
+eliminates unit pivots, each adding only an invariant factor 1, and runs
+the same Smith loop on the small core left (Havas, Holt and Rees,
 Recognizing badly presented Z-modules, Linear Algebra Appl. 192, 1993).
+abelian_invariants feeds it a presentation's rows; it is the one
+elimination routine.
 """
 
 from __future__ import annotations
@@ -175,15 +177,7 @@ def abelian_invariants(pres: FinitePresentation) -> tuple[int, tuple[int, ...]]:
     """abelianization(pres).decomposition, without generator images.
 
     Each relator's exponent sums form a sparse row, added up syllable by
-    syllable; empty rows are dropped.  A pass runs through the rows, and
-    each row with an entry +-1 on a generator is a pivot: exact row
-    operations clear that generator from the other rows, and the row and
-    the generator are dropped, since the relation expresses the generator
-    through the others and adds only an invariant factor 1.  Passes repeat
-    while one finds a pivot, as an elimination can give a unit to a row
-    already passed.  The Smith loop then runs on the core left, U and V
-    unused; the free rank is the generators left minus the core's rank
-    (Havas, Holt and Rees 1993; Cohen 1993, Alg. 2.4.14).
+    syllable; empty rows are dropped.
     """
     rows = []
     for word in pres.words:
@@ -196,7 +190,24 @@ def abelian_invariants(pres: FinitePresentation) -> tuple[int, tuple[int, ...]]:
                 del row[gen]
         if row:
             rows.append(row)
-    left = len(pres.generators)
+    return row_invariants(rows, len(pres.generators))
+
+
+def row_invariants(rows, count: int) -> tuple[int, tuple[int, ...]]:
+    """(free rank, invariant factors) of Z^count modulo the rows.
+
+    Each row is a sparse dict, column -> nonzero coefficient, and is
+    consumed.  A pass runs through the rows, and each row with an entry +-1
+    on a generator is a pivot: exact row operations clear that generator
+    from the other rows, and the row and the generator are dropped, since
+    the relation expresses the generator through the others and adds only
+    an invariant factor 1.  Passes repeat while one finds a pivot, as an
+    elimination can give a unit to a row already passed.  The Smith loop
+    then runs on the core left, U and V unused; the free rank is the
+    generators left minus the core's rank (Havas, Holt and Rees 1993; Cohen
+    1993, Alg. 2.4.14).
+    """
+    left = count
     pivots = True
     while pivots:
         pivots = False

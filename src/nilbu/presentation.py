@@ -1,4 +1,4 @@
-"""Finite group presentations, fundamental groups, index-2 subgroup presentations.
+"""Finite group presentations, fundamental groups, index-2 subgroups.
 
 Words are tuples of syllables: (k, e) is the k-th generator (1-based) to the
 power e, a nonzero int, so h^-b is the one syllable (h, -b) and no word's size
@@ -14,6 +14,16 @@ assignment is a tuple of bits in generator order, each the int 0 or 1 and
 nothing else; odd_relator tests it against the parities of each relator's
 exponent sums, found as the presentation is validated, and epimorphism_bits
 runs through every nonzero assignment as an integer against the same parities.
+
+The covering oracle reads an index-2 subgroup ker(phi) only through its
+exponent sums, so kernel_rows rewrites pi_1 straight into sparse rows
+(Reidemeister-Schreier; Lyndon and Schupp, Combinatorial Group Theory,
+II.4) and builds no presentation.  pi_1 sees b only through h^-b, so every
+row but the section relator's two is static: _KERNEL holds them per family
+row and character, built at import like _ROW_PARTS, and never grows.
+reidemeister_schreier, which builds the whole kernel presentation, is kept
+as the reference that the tests hold kernel_rows to; nothing in the
+package calls it, and the benchmark's tracer names it.
 """
 
 from __future__ import annotations
@@ -164,6 +174,77 @@ def _row_parts(family: str, pairs) -> tuple:
 _ROW_PARTS = {key: _row_parts(key[0], row.pairs) for key, row in ROWS.items()}
 
 
+def _add(row: dict, gen: int, exp: int) -> None:
+    exp += row.get(gen, 0)
+    if exp:
+        row[gen] = exp
+    else:
+        row.pop(gen, None)
+
+
+def _halves(k: int) -> tuple[int, int]:
+    """x^k with phi(x) = 1, x not t: the exponents of the Schreier generators
+    of the first coset read and of the other, ceil and floor of |k|/2."""
+    sign = 1 if k > 0 else -1
+    return sign * ((abs(k) + 1) // 2), sign * (abs(k) // 2)
+
+
+def _rewrite(row: dict, word: Word, bits, t: int, coset: int) -> int:
+    """Add to row the exponent sums of word rewritten from coset; the end coset.
+
+    Schreier generator x.r, for 0-based generator x, is column 2x + r.
+    """
+    for gen, exp in word:
+        x = gen - 1
+        if not bits[x]:
+            _add(row, 2 * x + coset, exp)
+            continue
+        if x == t:
+            _add(row, 2 * t + 1, (exp + coset) // 2)
+        else:
+            first = coset if exp > 0 else coset ^ 1
+            near, far = _halves(exp)
+            _add(row, 2 * x + first, near)
+            _add(row, 2 * x + (first ^ 1), far)
+        coset ^= exp & 1
+    return coset
+
+
+def _kernel_parts(fixed, section, bits) -> tuple:
+    """ker(phi) of a family row but for b: the fixed relators' rows from both
+    cosets, the section relator's two rows up to h^-b with their end
+    cosets, and t."""
+    h = len(bits) - 1
+    t = h if bits[h] else bits.index(1)
+    rows = []
+    for word in fixed:
+        for start in (0, 1):
+            row: dict = {}
+            end = _rewrite(row, word, bits, t, start)
+            assert end == start, "relator escaped its coset"
+            if row:
+                rows.append(row)
+    sections = []
+    for start in (0, 1):
+        row = {}
+        sections.append((row, _rewrite(row, section, bits, t, start)))
+    return tuple(rows), tuple(sections), t
+
+
+def _kernel_table() -> dict:
+    # the bits that keep every fixed relator in its coset are those of the
+    # epimorphisms of the group that the fixed relators present
+    return {(family, betas, bits): _kernel_parts(fixed, section, bits)
+            for (family, betas), (names, fixed, section, _)
+            in _ROW_PARTS.items()
+            for bits in FinitePresentation(names, fixed).epimorphism_bits()}
+
+
+# (family, betas, bits) -> _kernel_parts, for every nonzero bits that keeps
+# each fixed relator in its coset; static like _ROW_PARTS
+_KERNEL = _kernel_table()
+
+
 # entries of each bounded lru cache: a verify visit or a CLI query touches at
 # most 24 manifolds (m, up to 7 covers and 16 candidate bases in
 # quotients_of), so nothing is evicted within one
@@ -226,11 +307,12 @@ def check_epimorphism(pres: FinitePresentation, bits) -> None:
 def reidemeister_schreier(pres: FinitePresentation, bits) -> FinitePresentation:
     """Presentation of the index-2 subgroup ker(phi) by Reidemeister-Schreier.
 
-    phi is given by its bits in generator order.  The transversal is {1, t},
-    t the phi = 1 generator of the largest |exponent| in any syllable (the
-    first on a tie), see below.  Schreier generators are gamma(r, x) = r x
-    (rx-bar)^-1 for coset r in {0, 1} and generator x, named 'x.r'; the
-    trivial gamma(0, t) is dropped, leaving 2n - 1 generators.  Each relator
+    The reference for kernel_rows.  phi is given by its bits in generator
+    order.  The transversal is {1, t}, t the phi = 1 generator of the
+    largest |exponent| in any syllable (the first on a tie), see below.
+    Schreier generators are gamma(r, x) = r x (rx-bar)^-1 for coset r in
+    {0, 1} and generator x, named 'x.r'; the trivial gamma(0, t) is
+    dropped, leaving 2n - 1 generators.  Each relator
     is rewritten starting at both cosets, giving 2r relators, freely reduced
     but not otherwise simplified (empty rewrites are kept).  A syllable x^k
     read from coset r rewrites in closed form when phi(x) = 0, to (x.r)^k,
@@ -278,3 +360,29 @@ def reidemeister_schreier(pres: FinitePresentation, bits) -> FinitePresentation:
             assert coset == start, "relator escaped its coset"
             relators.append(out)
     return FinitePresentation(tuple(names), tuple(relators))
+
+
+def kernel_rows(m: NilManifold, bits) -> tuple[list[dict], int]:
+    """The exponent-sum rows of ker(phi) in pi_1(m), and their column count.
+
+    phi is an epimorphism given by its bits.  The rows are the exponent
+    sums of the rewriting that reidemeister_schreier spells out, here over
+    the transversal {1, t} with t = h if phi(h) = 1, else the first phi = 1
+    generator, and with 2n - 1 Schreier generators, x.r in column 2x + r
+    (0-based x, t.0 unused).  A syllable x^k read from coset r adds k to
+    x.r when phi(x) = 0, (k + r) // 2 to t.1 when x = t, and else
+    ceil(|k|/2) and floor(|k|/2), with the sign of k, to the generators of
+    the first coset read and of the other.  Only the section relator sees
+    b, through h^-b: the rows of its prefix come from _KERNEL with the
+    fixed relators', and h^-b is rewritten onto them here, one syllable,
+    O(1) in b.  The rows are fresh dicts.
+    """
+    fixed, sections, t = _KERNEL[m.family, m.betas, bits]
+    rows = [dict(row) for row in fixed]
+    h_b = ((len(bits), -m.b),)
+    for start, (prefix, end) in enumerate(sections):
+        row = dict(prefix)
+        end = _rewrite(row, h_b, bits, t, end)
+        assert end == start, "relator escaped its coset"
+        rows.append(row)
+    return rows, 2 * len(bits) - 1

@@ -7,17 +7,17 @@ this test makes it fail in tier-1 instead of in perfbench/selftest.py.
 
 * spans.TRACED names each traced function, and Tracer.install fetches every
   entry with getattr.  Among them epimorphisms.validate_char (ROADMAP item 1
-  deletes it), presentation.reidemeister_schreier (item 5 moves it to
-  tests/helpers.py) and the layers that item 12's stats layer would count
-  in the tracer's place.
+  deletes it), presentation.reidemeister_schreier (the word-level rewriting,
+  kept as the reference of the oracle's kernel_rows; no sweep calls it, so
+  the test calls it through the module) and the layers that item 12's stats
+  layer would count in the tracer's place.
 * Tracer.install wraps a traced name only where nilbu or one of the seven
   modules in spans.LAYERS binds it, and nilbu.paper is not among them.  So
   the catalogs in paper call epimorphisms.validate_char through the module:
   a validate_char imported into paper would escape the wrapper, and the
   sweep below would count no validate_char call.
 * Tracer._observe_fundamental_group and _observe_reidemeister_schreier read
-  result.relators (item 5 takes the oracle's rows straight from the
-  rewriting; item 1 would count syllables instead).
+  result.relators (item 1 would count syllables instead).
 * spans.CACHED names the four lru-cached functions, fundamental_group, h1,
   enumerate_epis and equivalence_classes, and cached_functions() and
   clear_caches() need their cache_clear; the tracer's wrapper reads
@@ -40,7 +40,8 @@ import sys
 
 import pytest
 
-from nilbu import cli, verify_sweep
+from nilbu import (NilManifold, cli, enumerate_epis, fundamental_group,
+                   presentation, verify_sweep)
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
@@ -62,6 +63,11 @@ def tracer():
 
 def test_tracer_installs_and_reads_a_sweep(tracer):
     assert verify_sweep(0)["ok"]
+    # the sweep's oracle builds no kernel presentation; the tracer wraps the
+    # module's reidemeister_schreier, so call it there on one pair
+    m = NilManifold("T", 2)
+    phi = enumerate_epis(m)[0]
+    presentation.reidemeister_schreier(fundamental_group(m), phi.bits)
     summary = tracer.summary()
     assert summary["presentation.relator_letters"][0] > 0
     assert summary["presentation.rs_relator_letters"][0] > 0

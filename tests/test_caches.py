@@ -3,11 +3,15 @@
 fundamental_group, enumerate_epis and equivalence_classes keep at most
 _BOUND entries, and every manifold's characters share the bit tuples of the
 mod-2 table, which is built at import with one entry per family row and
-parity of b and never grows.  h1 is the one unbounded cache: z2_index and
-the oracle read H1 of the same covers and bases again across queries, and
-at that bound a warm query stream missed 4.3 times as often and ran 18%
-slower.  Outside the caches, the memory that a sweep holds while it runs
-and frees by its return does not grow with depth either.
+parity of b and never grows.  So is the oracle's kernel table,
+presentation._KERNEL, built at import beside the family rows' relators in
+presentation._ROW_PARTS, with one entry per family row and character of
+its relators but the section relator, 73 in all.  h1 is the one unbounded
+cache: z2_index and the oracle read H1 of the same covers and bases again
+across queries, and at that bound a warm query stream missed 4.3 times as
+often and ran 18% slower.  Outside the caches, the memory that a sweep
+holds while it runs and frees by its return does not grow with depth
+either.
 """
 
 import os
@@ -16,7 +20,8 @@ import sys
 import tracemalloc
 
 from nilbu import (NilManifold, enumerate_epis, epimorphisms,
-                   equivalence_classes, fundamental_group, h1, verify_sweep)
+                   equivalence_classes, fundamental_group, h1, presentation,
+                   verify_sweep)
 from nilbu.presentation import _BOUND
 
 
@@ -24,12 +29,14 @@ def test_caches_stay_bounded_through_deeper_sweeps():
     for cached in (fundamental_group, h1, enumerate_epis,
                    equivalence_classes):
         cached.cache_clear()
+    assert len(presentation._KERNEL) == 73
     for depth in (16, 64):
         assert verify_sweep(depth)["ok"], depth
         for bounded in (fundamental_group, enumerate_epis,
                         equivalence_classes):
             assert bounded.cache_info().currsize <= _BOUND, depth
         assert len(epimorphisms._MOD2) == 30, depth
+        assert len(presentation._KERNEL) == 73, depth
         near = enumerate_epis(NilManifold("T", 2))
         far = enumerate_epis(NilManifold("T", 10 ** 12))
         assert len(near) == len(far) == 7, depth
