@@ -5,11 +5,13 @@ phi of m = phi.manifold in closed form per family, and asserts e(cover) =
 2^(1 - 2 phi(h)) e(base) on the integers (c, lcm), e = c / lcm, of the family
 rows.  verify_cover, the independent oracle, rewrites the fundamental group
 straight into the exponent-sum rows of the index-2 subgroup
-(Reidemeister-Schreier, presentation.kernel_rows, with no kernel
-presentation built), compares the rows' invariant factors with H1 of the
-claimed cover and checks the Euler relation by its own cross-multiplication
-of (c, lcm), which cd_invariants reads off the Seifert invariants, not the
-family rows.  quotients_of inverts
+(Reidemeister-Schreier, presentation._rewrite, with no kernel presentation
+built), compares the rows' invariant factors with H1 of the claimed cover
+and checks the Euler relation by its own cross-multiplication of (c, lcm),
+which cd_invariants reads off the Seifert invariants, not the family rows.
+Only the section relator sees b, so _KERNEL holds every other relator's
+rows diagonalized once, at import, and kernel_rows finishes a kernel from
+them and the section relator's two rows.  quotients_of inverts
 double_cover over the finitely many candidate bases, which reproduces the
 known involution diagrams.
 
@@ -24,8 +26,9 @@ from __future__ import annotations
 
 from . import bu_index
 from .epimorphisms import Z2Char, class_representatives
-from .homology import h1, row_invariants
-from .presentation import kernel_rows
+from .homology import diagonalize, h1, row_invariants
+from .presentation import (_ROW_PARTS, FinitePresentation, _add,
+                           _kernel_parts, _rewrite)
 from .seifert import ROWS, NilManifold, Record, cd_invariants
 
 
@@ -93,6 +96,66 @@ def double_cover(phi: Z2Char) -> NilManifold:
     assert 2 ** phi.h * cover.c * m.row.lcm \
         == 2 ** (1 - phi.h) * m.c * cover.row.lcm
     return cover
+
+
+def _kernel_table() -> dict:
+    """The b-free part of every kernel the oracle reduces, reduced once.
+
+    The bits that keep every fixed relator in its coset are those of the
+    epimorphisms of the group that the fixed relators present.  For each
+    key the fixed relators' rows go through diagonalize, and the entry
+    keeps the section relator's two rows up to h^-b with their end cosets,
+    t, the column operations, the unit pivots' columns and the other
+    pivots as (column, |pivot|).
+    """
+    table = {}
+    for (family, betas), (names, fixed, section, _) in _ROW_PARTS.items():
+        for bits in FinitePresentation(names, fixed).epimorphism_bits():
+            rows, sections, t = _kernel_parts(fixed, section, bits)
+            diag, ops = diagonalize(rows)
+            table[family, betas, bits] = (
+                sections, t, tuple(ops),
+                tuple(g for g, d in diag.items() if d == 1),
+                tuple((g, d) for g, d in diag.items() if d > 1))
+    return table
+
+
+# (family, betas, bits) -> _kernel_table's entry, for every nonzero bits
+# that keeps each fixed relator in its coset; static like _ROW_PARTS
+_KERNEL = _kernel_table()
+
+
+def kernel_rows(m: NilManifold, bits) -> tuple[list[dict], int]:
+    """Rows with the invariants of ker(phi) in pi_1(m), and their column count.
+
+    phi is an epimorphism given by its bits.  The rows stand for the
+    exponent sums of the Reidemeister-Schreier rewriting of pi_1 over the
+    transversal {1, t}, t = h if phi(h) = 1, else the first phi = 1
+    generator, with 2n - 1 Schreier generators, x.r in column 2x + r
+    (presentation._rewrite).  Only the section relator sees b, through
+    h^-b, so _KERNEL holds the fixed relators' rows already diagonalized.
+    Here h^-b is rewritten onto the two section rows, one syllable, O(1) in
+    b; the column operations of the diagonalization are replayed on them;
+    the unit pivots' columns are dropped, since a unit pivot row clears its
+    column from them and adds only an invariant factor 1; and the other
+    pivots come back as one-entry rows.  The rows are fresh dicts, the
+    section rows last.
+    """
+    sections, t, ops, units, torsion = _KERNEL[m.family, m.betas, bits]
+    rows = [{g: d} for g, d in torsion]
+    h_b = ((len(bits), -m.b),)
+    for start, (prefix, end) in enumerate(sections):
+        row = dict(prefix)
+        end = _rewrite(row, h_b, bits, t, end)
+        assert end == start, "relator escaped its coset"
+        for k, q, g in ops:
+            x = row.get(g)
+            if x:
+                _add(row, k, -q * x)
+        for g in units:
+            row.pop(g, None)
+        rows.append(row)
+    return rows, 2 * len(bits) - 1 - len(units)
 
 
 def verify_cover(phi: Z2Char, claimed: NilManifold) -> bool:

@@ -4,20 +4,23 @@ Matrices are plain lists of lists of Python ints, so arithmetic is exact and
 unbounded (no overflow to report, ever).  The Smith normal form returns the
 unimodular transforms, which the abelianization uses to express generator
 images in the invariant-factor basis for the epimorphism counts and the
-index-1 torsion test (a mod-2 span test on integer masks).  The covering
-oracle compares invariant factors only: row_invariants takes its sparse
-Reidemeister-Schreier rows, which have mostly unit entries, first
-eliminates unit pivots, each adding only an invariant factor 1, and runs
-the same Smith loop on the small core left (Havas, Holt and Rees,
-Recognizing badly presented Z-modules, Linear Algebra Appl. 192, 1993).
-abelian_invariants feeds it a presentation's rows; it is the one
-elimination routine.
+index-1 torsion test (a mod-2 span test on integer masks); abelianization
+is the one caller of the Smith loop.  The covering oracle compares
+invariant factors only, of sparse Reidemeister-Schreier rows with mostly
+unit entries, so row_invariants needs no transforms: diagonalize reduces
+the rows to a diagonal by row and column operations, pivoting on the least
+|entry|, a unit pivot being the case |p| = 1 that leaves at once (Havas,
+Holt and Rees, Recognizing badly presented Z-modules, Linear Algebra
+Appl. 192, 1993), and row_invariants turns the diagonal into the chain
+d_1 | d_2 | ... by pairwise gcd and lcm (Newman, Integral Matrices, 1972,
+ch. II).  diagonalize also returns its column operations, which the
+oracle's table keeps to finish each kernel's rows.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, islice
+from math import gcd
 
 from .presentation import (FinitePresentation, check_bits, exponent_matrix,
                            fundamental_group)
@@ -173,70 +176,82 @@ def abelianization(pres: FinitePresentation) -> AbelianGroup:
     return AbelianGroup(len(free_pos), torsion, gen_images)
 
 
-def abelian_invariants(pres: FinitePresentation) -> tuple[int, tuple[int, ...]]:
-    """abelianization(pres).decomposition, without generator images.
+def diagonalize(rows) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
+    """Reduce sparse rows to a diagonal by row and column operations.
 
-    Each relator's exponent sums form a sparse row, added up syllable by
-    syllable; empty rows are dropped.
+    Each row is a dict, column -> nonzero coefficient, and is consumed.
+    The pivot is the least |entry|, the first in row order and then in the
+    row's column order.  Row operations clear the pivot's column from the
+    other rows, and column operations (k, q, g), col_k -= q * col_g, reduce
+    the pivot's row; each leaves a remainder below the pivot, so a pivot
+    that is not yet alone in its row and column gives way to a smaller one.
+    A pivot alone in both leaves with its row.  A unit pivot divides
+    everything, so it leaves at once (Havas, Holt and Rees, Recognizing
+    badly presented Z-modules, Linear Algebra Appl. 192, 1993).  Returns
+    the diagonal, pivot column -> |pivot|, and the column operations in
+    order; the operations act on the columns of any row over the same
+    generators, which is how kernel_rows finishes the rows of the table.
     """
-    rows = []
-    for word in pres.words:
-        row = {}
-        for gen, exp in word:
-            x = row.get(gen, 0) + exp
-            if x:
-                row[gen] = x
-            else:
-                del row[gen]
-        if row:
-            rows.append(row)
-    return row_invariants(rows, len(pres.generators))
+    rows = [row for row in rows if row]
+    diag = {}
+    ops = []
+    while rows:
+        least = 0
+        for row in rows:
+            for k, x in row.items():
+                if not least or abs(x) < least:
+                    least, pivot, g = abs(x), row, k
+            if least == 1:
+                break
+        p = pivot[g]
+        stray = False
+        for row in rows:
+            x = row.get(g)
+            if x and row is not pivot:
+                q = x // p  # row -= q * pivot
+                for k, y in pivot.items():
+                    z = row.get(k, 0) - q * y
+                    if z:
+                        row[k] = z
+                    else:
+                        del row[k]
+                stray = stray or g in row
+        holders = [row for row in rows if g in row] if stray else (pivot,)
+        for k, y in list(pivot.items()):
+            if k != g:
+                q = y // p  # col_k -= q * col_g
+                ops.append((k, q, g))
+                for row in holders:
+                    z = row.get(k, 0) - q * row[g]
+                    if z:
+                        row[k] = z
+                    else:
+                        del row[k]
+        if not stray and len(pivot) == 1:
+            diag[g] = least
+            pivot.clear()
+        rows = [row for row in rows if row]
+    return diag, ops
 
 
 def row_invariants(rows, count: int) -> tuple[int, tuple[int, ...]]:
     """(free rank, invariant factors) of Z^count modulo the rows.
 
     Each row is a sparse dict, column -> nonzero coefficient, and is
-    consumed.  A pass runs through the rows, and each row with an entry +-1
-    on a generator is a pivot: exact row operations clear that generator
-    from the other rows, and the row and the generator are dropped, since
-    the relation expresses the generator through the others and adds only
-    an invariant factor 1.  Passes repeat while one finds a pivot, as an
-    elimination can give a unit to a row already passed.  The Smith loop
-    then runs on the core left, U and V unused; the free rank is the
-    generators left minus the core's rank (Havas, Holt and Rees 1993; Cohen
-    1993, Alg. 2.4.14).
+    consumed; a generator that no row mentions is free.  diagonalize gives
+    the rank and the diagonal, its column operations unused here.  Each
+    pair of diagonal entries is replaced by its gcd and lcm, which keeps the
+    group; after the pass over entry i it divides every later entry, so the
+    entries above 1 are the invariant factors d_1 | d_2 | ... (Newman,
+    Integral Matrices, 1972, ch. II).
     """
-    left = count
-    pivots = True
-    while pivots:
-        pivots = False
-        kept = []
-        for i, pivot in enumerate(rows):
-            for gen, u in pivot.items():
-                if u == 1 or u == -1:
-                    break
-            else:
-                kept.append(pivot)
-                continue
-            del pivot[gen]
-            left -= 1
-            pivots = True
-            for row in chain(kept, islice(rows, i + 1, None)):
-                q = row.pop(gen, 0) * u  # row -= q * pivot clears gen
-                if q:
-                    for k, x in pivot.items():
-                        y = row.get(k, 0) - q * x
-                        if y:
-                            row[k] = y
-                        else:
-                            del row[k]
-        rows = kept
-    gens = sorted({gen for row in rows for gen in row})
-    S, _, _ = smith_normal_form([[row.get(gen, 0) for gen in gens]
-                                 for row in rows if row])
-    diag = [S[i][i] for i in range(min(len(S), len(gens)))]
-    return left - sum(1 for d in diag if d), tuple(d for d in diag if d >= 2)
+    diag, _ = diagonalize(rows)
+    d = [x for x in diag.values() if x > 1]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return count - len(diag), tuple(x for x in d if x > 1)
 
 
 @lru_cache(maxsize=None)

@@ -5,9 +5,9 @@ power e, a nonzero int, so h^-b is the one syllable (h, -b) and no word's size
 grows with an exponent (the syllable words of Holt, Eick and O'Brien,
 Handbook of Computational Group Theory, 2005, section 2.5).  Presentations
 keep their relators freely reduced, with no two adjacent syllables on one
-generator, but otherwise untouched; no Tietze simplification happens
-anywhere, so rewritten subgroup presentations stay in the raw
-Reidemeister-Schreier shape that the homology routines consume.
+generator, but otherwise untouched: no Tietze simplification is applied to
+a presentation, so rewritten subgroup presentations stay in the raw
+Reidemeister-Schreier shape.
 FinitePresentation.relators spells the relators out letter by letter (+k,
 -k) for tests that pin that form; nothing in the package reads it.  A mod-2
 assignment is a tuple of bits in generator order, each the int 0 or 1 and
@@ -16,13 +16,15 @@ exponent sums, found as the presentation is validated, and epimorphism_bits
 runs through every nonzero assignment as an integer against the same parities.
 
 The covering oracle reads an index-2 subgroup ker(phi) only through its
-exponent sums, so kernel_rows rewrites pi_1 straight into sparse rows
-(Reidemeister-Schreier; Lyndon and Schupp, Combinatorial Group Theory,
-II.4) and builds no presentation.  pi_1 sees b only through h^-b, so every
-row but the section relator's two is static: _KERNEL holds them per family
-row and character, built at import like _ROW_PARTS, and never grows.
+exponent sums, so _rewrite adds a word's Reidemeister-Schreier rewriting
+straight to a sparse row (Lyndon and Schupp, Combinatorial Group Theory,
+II.4) and no presentation is built.  pi_1 sees b only through h^-b, so
+_kernel_parts rewrites every relator but the section relator once per
+family row and character, and the section relator up to h^-b; the oracle's
+table in coverings diagonalizes those rows once, at import, as _ROW_PARTS
+is built here.
 reidemeister_schreier, which builds the whole kernel presentation, is kept
-as the reference that the tests hold kernel_rows to; nothing in the
+as the reference that the tests hold the oracle's rows to; nothing in the
 package calls it, and the benchmark's tracer names it.
 """
 
@@ -231,20 +233,6 @@ def _kernel_parts(fixed, section, bits) -> tuple:
     return tuple(rows), tuple(sections), t
 
 
-def _kernel_table() -> dict:
-    # the bits that keep every fixed relator in its coset are those of the
-    # epimorphisms of the group that the fixed relators present
-    return {(family, betas, bits): _kernel_parts(fixed, section, bits)
-            for (family, betas), (names, fixed, section, _)
-            in _ROW_PARTS.items()
-            for bits in FinitePresentation(names, fixed).epimorphism_bits()}
-
-
-# (family, betas, bits) -> _kernel_parts, for every nonzero bits that keeps
-# each fixed relator in its coset; static like _ROW_PARTS
-_KERNEL = _kernel_table()
-
-
 # entries of each bounded lru cache: a verify visit or a CLI query touches at
 # most 24 manifolds (m, up to 7 covers and 16 candidate bases in
 # quotients_of), so nothing is evicted within one
@@ -307,9 +295,10 @@ def check_epimorphism(pres: FinitePresentation, bits) -> None:
 def reidemeister_schreier(pres: FinitePresentation, bits) -> FinitePresentation:
     """Presentation of the index-2 subgroup ker(phi) by Reidemeister-Schreier.
 
-    The reference for kernel_rows.  phi is given by its bits in generator
-    order.  The transversal is {1, t}, t the phi = 1 generator of the
-    largest |exponent| in any syllable (the first on a tie), see below.
+    The reference for the oracle's rows, coverings.kernel_rows.  phi is
+    given by its bits in generator order.  The transversal is {1, t}, t the
+    phi = 1 generator of the largest |exponent| in any syllable (the first
+    on a tie), see below.
     Schreier generators are gamma(r, x) = r x (rx-bar)^-1 for coset r in
     {0, 1} and generator x, named 'x.r'; the trivial gamma(0, t) is
     dropped, leaving 2n - 1 generators.  Each relator
@@ -360,29 +349,3 @@ def reidemeister_schreier(pres: FinitePresentation, bits) -> FinitePresentation:
             assert coset == start, "relator escaped its coset"
             relators.append(out)
     return FinitePresentation(tuple(names), tuple(relators))
-
-
-def kernel_rows(m: NilManifold, bits) -> tuple[list[dict], int]:
-    """The exponent-sum rows of ker(phi) in pi_1(m), and their column count.
-
-    phi is an epimorphism given by its bits.  The rows are the exponent
-    sums of the rewriting that reidemeister_schreier spells out, here over
-    the transversal {1, t} with t = h if phi(h) = 1, else the first phi = 1
-    generator, and with 2n - 1 Schreier generators, x.r in column 2x + r
-    (0-based x, t.0 unused).  A syllable x^k read from coset r adds k to
-    x.r when phi(x) = 0, (k + r) // 2 to t.1 when x = t, and else
-    ceil(|k|/2) and floor(|k|/2), with the sign of k, to the generators of
-    the first coset read and of the other.  Only the section relator sees
-    b, through h^-b: the rows of its prefix come from _KERNEL with the
-    fixed relators', and h^-b is rewritten onto them here, one syllable,
-    O(1) in b.  The rows are fresh dicts.
-    """
-    fixed, sections, t = _KERNEL[m.family, m.betas, bits]
-    rows = [dict(row) for row in fixed]
-    h_b = ((len(bits), -m.b),)
-    for start, (prefix, end) in enumerate(sections):
-        row = dict(prefix)
-        end = _rewrite(row, h_b, bits, t, end)
-        assert end == start, "relator escaped its coset"
-        rows.append(row)
-    return rows, 2 * len(bits) - 1

@@ -16,7 +16,11 @@ fundamental_group, which shares each family row's relators: it builds every
 relator of pi_1 afresh for each manifold.  smith_normal_form is the
 reference for nilbu's tuned Smith loop: the same pivot rule and operation
 order through two combine closures, every column operation touching every
-row, so the two must return identical (S, U, V).
+row, so the two must return identical (S, U, V).  abelian_invariants adds a
+presentation's exponent sums up into sparse rows for row_invariants, and
+kernel_rows is the reference for the oracle's reduced kernel rows: the
+fixed relators' rows as presentation._kernel_parts rewrites them, with
+h^-b rewritten onto the section relator's two, none of them reduced.
 """
 
 from itertools import groupby, product
@@ -27,7 +31,8 @@ from nilbu import (CoveringDescriptor, EpiClass, EpiClassPartition,
                    NilManifold, apply_move, available_moves,
                    check_epimorphism, double_cover, enumerate_epis,
                    fundamental_group, z2_index)
-from nilbu.homology import identity
+from nilbu import presentation
+from nilbu.homology import identity, row_invariants
 from nilbu.seifert import FAMILIES, ROWS
 
 
@@ -141,6 +146,44 @@ def smith_normal_form(m):
             U[t] = [-x for x in U[t]]
         t += 1
     return A, U, V
+
+
+def abelian_invariants(pres) -> tuple:
+    """abelianization(pres).decomposition, without generator images.
+
+    Each relator's exponent sums form a sparse row, added up syllable by
+    syllable; empty rows are dropped.
+    """
+    rows = []
+    for word in pres.words:
+        row = {}
+        for gen, exp in word:
+            x = row.get(gen, 0) + exp
+            if x:
+                row[gen] = x
+            else:
+                del row[gen]
+        if row:
+            rows.append(row)
+    return row_invariants(rows, len(pres.generators))
+
+
+def kernel_rows(m, bits) -> tuple:
+    """The exponent-sum rows of ker(phi) in pi_1(m), and their column count.
+
+    The rewriting of nilbu's oracle (presentation._kernel_parts and
+    _rewrite), with nothing reduced: the fixed relators' rows from both
+    cosets, then the section relator's two with h^-b added, over 2n - 1
+    Schreier generators.  The rows are fresh dicts.
+    """
+    _, fixed, section, _ = presentation._ROW_PARTS[m.family, m.betas]
+    rows, sections, t = presentation._kernel_parts(fixed, section, bits)
+    rows = list(rows)
+    for start, (row, end) in enumerate(sections):
+        end = presentation._rewrite(row, ((len(bits), -m.b),), bits, t, end)
+        assert end == start, "relator escaped its coset"
+        rows.append(row)
+    return rows, 2 * len(bits) - 1
 
 
 def inverse_word(word):

@@ -1,8 +1,9 @@
-"""The oracle's unit-pivot invariants and the mask enumeration of epimorphisms.
+"""The oracle's sparse invariants and the mask enumeration of epimorphisms.
 
-abelian_invariants eliminates unit pivots before its Smith pass; on the
-kernel presentations the oracle builds it must agree with abelianization,
-the Smith form with transforms.  enumerate_epis tests every assignment as an
+helpers.abelian_invariants reduces a presentation's exponent-sum rows with
+the oracle's row_invariants, a sparse diagonalization with no Smith loop;
+on kernel presentations it must agree with abelianization, the Smith form
+with transforms.  enumerate_epis tests every assignment as an
 integer against the relators' parity masks; it must find the epimorphisms
 that helpers.epi_bits finds bit tuple by bit tuple, in the same order.
 """
@@ -12,8 +13,9 @@ import pytest
 import helpers
 from nilbu import (NilManifold, abelianization, enumerate_epis,
                    fundamental_group, reidemeister_schreier, sweep)
-from nilbu.homology import abelian_invariants
 from nilbu.seifert import ROWS
+
+from helpers import abelian_invariants
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402

@@ -1,24 +1,28 @@
 """The oracle's kernel rows against the Reidemeister-Schreier references.
 
-presentation.kernel_rows rewrites pi_1 straight into the exponent-sum rows
-of ker(phi), over the transversal t = h if phi(h) = 1, else the first
-phi = 1 generator, and homology.row_invariants reduces them.  The invariants
-must equal those of the kernel presentation that reidemeister_schreier
-builds (its own choice of t), and those of the letter-level rewriting in
-helpers.py under every phi = 1 transversal, since every Schreier
-transversal presents the same subgroup.  A builder that gives the ceil and
-floor counts of an inverse syllable to the wrong cosets must be caught by
-the oracle.
+coverings.kernel_rows gives rows with the invariants of ker(phi): the
+fixed relators' rows of pi_1, rewritten over the transversal t = h if
+phi(h) = 1, else the first phi = 1 generator, are diagonalized once per
+key at import, and each call rewrites h^-b onto the section relator's two
+rows and replays the diagonalization's column operations on them.  The
+invariants that homology.row_invariants reads off those rows must equal
+those of the unreduced rows of helpers.kernel_rows, those of the kernel
+presentation that reidemeister_schreier builds (its own choice of t), and
+those of the letter-level rewriting in helpers.py under every phi = 1
+transversal, since every Schreier transversal presents the same subgroup.
+A builder that gives the ceil and floor counts of an inverse syllable to
+the wrong cosets must be caught by the oracle, and so must a table with
+one column operation negated or dropped.
 """
 
 import pytest
 
 import helpers
-from nilbu import (NilManifold, abelianization, double_cover, enumerate_epis,
-                   fundamental_group, presentation, reidemeister_schreier,
-                   sweep, verify_cover)
-from nilbu.homology import abelian_invariants, row_invariants
-from nilbu.presentation import kernel_rows
+from nilbu import (NilManifold, abelianization, coverings, double_cover,
+                   enumerate_epis, fundamental_group, presentation,
+                   reidemeister_schreier, sweep, verify_cover)
+from nilbu.coverings import kernel_rows
+from nilbu.homology import row_invariants
 from nilbu.seifert import ROWS
 
 pytest.importorskip("hypothesis")
@@ -38,11 +42,12 @@ def test_rows_match_the_kernel_presentation_on_sweep():
     for m in sweep(32):
         pres = fundamental_group(m)
         for phi in enumerate_epis(m):
+            got = row_invariants(*kernel_rows(m, phi.bits))
             sub = reidemeister_schreier(pres, phi.bits)
-            assert row_invariants(*kernel_rows(m, phi.bits)) \
-                == abelian_invariants(sub), (m, phi.bits)
+            assert got == row_invariants(*helpers.kernel_rows(m, phi.bits)) \
+                == abelianization(sub).decomposition, (m, phi.bits)
             pairs += 1
-    assert pairs
+    assert pairs == 1150
 
 
 @settings(deadline=None)
@@ -64,16 +69,21 @@ def test_rows_match_the_kernel_presentation_at_large_b(m):
     for phi in enumerate_epis(m):
         sub = reidemeister_schreier(pres, phi.bits)
         assert row_invariants(*kernel_rows(m, phi.bits)) \
+            == row_invariants(*helpers.kernel_rows(m, phi.bits)) \
             == abelianization(sub).decomposition
 
 
 def test_rows_are_fresh_and_b_only_reaches_the_section_rows():
     m = NilManifold("244", 7, (1, 1))
     phi = enumerate_epis(m)[0]
+    entry = coverings._KERNEL[m.family, m.betas, phi.bits]
+    units = entry[3]
+    assert units
     rows, count = kernel_rows(m, phi.bits)
-    assert count == 2 * len(phi.bits) - 1
+    assert count == 2 * len(phi.bits) - 1 - len(units)
     before = [dict(row) for row in rows]
     row_invariants(rows, count)  # consumes the rows, not the table's
+    assert coverings._KERNEL[m.family, m.betas, phi.bits] == entry
     assert kernel_rows(m, phi.bits)[0] == before
     far, _ = kernel_rows(NilManifold("244", 7 + 2 * 10 ** 12, (1, 1)),
                          phi.bits)
@@ -94,5 +104,27 @@ def test_swapped_ceil_and_floor_counts_are_rejected(monkeypatch):
 
     halves = presentation._halves
     monkeypatch.setattr(presentation, "_halves", swapped)
-    monkeypatch.setattr(presentation, "_KERNEL", presentation._kernel_table())
+    monkeypatch.setattr(coverings, "_KERNEL", coverings._kernel_table())
     assert not all(verify_cover(phi, double_cover(phi)) for phi in pairs)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda ops: ((ops[0][0], -ops[0][1], ops[0][2]),) + ops[1:],
+    lambda ops: ops[1:],
+], ids=["negated", "dropped"])
+def test_a_wrong_column_operation_is_rejected(monkeypatch, mutate):
+    # T with phi = (0, 1, 0): t = v2, the one column operation of the fixed
+    # rows adds each row's h.1 entry to its h.0 entry, and h^-b lands on
+    # h.1 in the second section row
+    pairs = [phi for m in sweep(16) for phi in enumerate_epis(m)]
+    key = ("T", (), (0, 1, 0))
+    sections, t, ops, units, torsion = coverings._KERNEL[key]
+    assert ops
+    table = dict(coverings._KERNEL)
+    table[key] = (sections, t, mutate(ops), units, torsion)
+    monkeypatch.setattr(coverings, "_KERNEL", table)
+    rejected = [phi for phi in pairs
+                if not verify_cover(phi, double_cover(phi))]
+    assert rejected
+    assert {(phi.manifold.family, phi.bits) for phi in rejected} \
+        == {("T", (0, 1, 0))}

@@ -6,10 +6,10 @@ from nilbu import (FinitePresentation, InvariantError, NilManifold,
                    NotAHomomorphism, NotSurjective, Z2Char, abelianization,
                    check_epimorphism, double_cover, format_word, free_reduce,
                    fundamental_group, h1, reidemeister_schreier)
-from nilbu.homology import abelian_invariants
 from nilbu.seifert import ROWS
 
-from helpers import inverse_word, kernel_presentation, standard_presentation
+from helpers import (abelian_invariants, inverse_word, kernel_presentation,
+                     standard_presentation)
 
 
 def test_free_reduce():

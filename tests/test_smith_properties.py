@@ -6,11 +6,14 @@ the diagonal against sympy's Smith normal form as an independent route.
 The tuned loop must return the very (S, U, V) of the reference loop in
 tests/helpers.py on those matrices, on every H1 relation matrix of
 sweep(16) and on each family row's at b = 10^12.  The covering oracle's
-invariants (unit-pivot elimination, then the same Smith loop on the core)
-must match the full abelianization, also on commutator relators, whose
-rows sum to zero, on generators that no relator mentions and with no
-relators at all.  A list of lists has no column count when it has no rows,
-so a 0 x N matrix is the empty list; an N x 0 matrix is N empty rows.
+invariants (row_invariants, a sparse diagonalization that runs no Smith
+loop) must match sympy's Smith form and the full abelianization on
+arbitrary sparse rows: with no rows, on generators that no row mentions,
+on rank-deficient rows, with entries near 10^12 and with negative
+pivots; and, through helpers.abelian_invariants, on presentations with
+commutator relators, whose rows sum to zero.  A list of lists has no
+column count when it has no rows, so a 0 x N matrix is the empty list; an
+N x 0 matrix is N empty rows.
 """
 
 import pytest
@@ -18,11 +21,11 @@ import pytest
 import helpers
 from nilbu import (FinitePresentation, NilManifold, abelianization,
                    fundamental_group, smith_normal_form, sweep)
-from nilbu.homology import abelian_invariants
+from nilbu.homology import row_invariants
 from nilbu.presentation import exponent_matrix
 from nilbu.seifert import ROWS
 
-from helpers import determinant, matmul
+from helpers import abelian_invariants, determinant, matmul
 
 pytest.importorskip("hypothesis")
 normalforms = pytest.importorskip("sympy.matrices.normalforms")
@@ -159,3 +162,44 @@ def test_invariants_match_abelianization_on_examples(generators, words,
     pres = FinitePresentation(generators, words)
     assert abelian_invariants(pres) == expected
     assert abelianization(pres).decomposition == expected
+
+
+@st.composite
+def sparse_rows(draw):
+    # rows over count generators, some of which no row mentions; later rows
+    # may be combinations of earlier ones, entries may be near 10^12, and a
+    # row may be one negative entry, a negative pivot
+    count = draw(st.integers(0, 7))
+    used = draw(st.integers(0, count))
+    entry = st.one_of(st.integers(-6, 6),
+                      st.integers(-3, 3).map(lambda x: x - 10 ** 12),
+                      st.integers(-3, 3).map(lambda x: x + 10 ** 12))
+    rows = []
+    for _ in range(draw(st.integers(0, 6)) if used else 0):
+        kind = draw(st.sampled_from(("random", "combination", "negative")))
+        if kind == "combination" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            p, q = draw(SMALL), draw(SMALL)
+            row = {k: p * a.get(k, 0) + q * b.get(k, 0) for k in {*a, *b}}
+        elif kind == "negative":
+            row = {draw(st.integers(0, used - 1)): -draw(st.integers(1, 9))}
+        else:
+            row = draw(st.dictionaries(st.integers(0, used - 1), entry,
+                                       max_size=4))
+        rows.append({k: x for k, x in row.items() if x})
+    return rows, count
+
+
+@settings(deadline=None)
+@given(sparse_rows())
+def test_row_invariants_match_sympy_and_abelianization(rows_count):
+    rows, count = rows_count
+    dense = [[row.get(k, 0) for k in range(count)] for row in rows]
+    words = tuple(tuple((k + 1, x) for k, x in sorted(row.items()))
+                  for row in rows)
+    pres = FinitePresentation(tuple("x%d" % k for k in range(count)), words)
+    diag = _sympy_diagonal(dense)
+    expected = (count - sum(1 for d in diag if d),
+                tuple(d for d in diag if d > 1))
+    got = row_invariants([dict(row) for row in rows], count)
+    assert got == expected == abelianization(pres).decomposition
