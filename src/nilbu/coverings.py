@@ -98,23 +98,47 @@ def double_cover(phi: Z2Char) -> NilManifold:
     return cover
 
 
+def _live_ops(ops, columns) -> list:
+    """The column operations that can change a row whose nonzero entries
+    lie in columns: col_k -= q * col_g changes the row only if col_g can be
+    nonzero there, and then col_k can be too."""
+    columns = set(columns)
+    live = []
+    for k, q, g in ops:
+        if g in columns:
+            columns.add(k)
+            live.append((k, q, g))
+    return live
+
+
 def _kernel_table() -> dict:
     """The b-free part of every kernel the oracle reduces, reduced once.
 
     The bits that keep every fixed relator in its coset are those of the
     epimorphisms of the group that the fixed relators present.  For each
     key the fixed relators' rows go through diagonalize, and the entry
-    keeps the section relator's two rows up to h^-b with their end cosets,
-    t, the column operations, the unit pivots' columns and the other
-    pivots as (column, |pivot|).
+    keeps the section relator's two rows up to h^-b, each with its end
+    coset and the slice of the column operations that kernel_rows replays
+    on it, then t, those operations, the unit pivots' columns and the other
+    pivots as (column, |pivot|).  A section row's slice keeps only the
+    operations that can change it (_live_ops), from the columns of its
+    prefix and the one that h^-b lands on: h.1 when phi(h) = 1, since t is
+    then h, and else h.r for the prefix's end coset r (presentation._rewrite).
     """
     table = {}
     for (family, betas), (names, fixed, section, _) in _ROW_PARTS.items():
         for bits in FinitePresentation(names, fixed).epimorphism_bits():
             rows, sections, t = _kernel_parts(fixed, section, bits)
             diag, ops = diagonalize(rows)
+            h = len(bits) - 1
+            spans, replays = [], []
+            for prefix, end in sections:
+                live = _live_ops(ops, [*prefix, 2 * h + (bits[h] or end)])
+                spans.append((prefix, end, slice(len(replays),
+                                                 len(replays) + len(live))))
+                replays += live
             table[family, betas, bits] = (
-                sections, t, tuple(ops),
+                tuple(spans), t, tuple(replays),
                 tuple(g for g, d in diag.items() if d == 1),
                 tuple((g, d) for g, d in diag.items() if d > 1))
     return table
@@ -135,7 +159,8 @@ def kernel_rows(m: NilManifold, bits) -> tuple[list[dict], int]:
     (presentation._rewrite).  Only the section relator sees b, through
     h^-b, so _KERNEL holds the fixed relators' rows already diagonalized.
     Here h^-b is rewritten onto the two section rows, one syllable, O(1) in
-    b; the column operations of the diagonalization are replayed on them;
+    b; the column operations of the diagonalization that can change a
+    section row are replayed on it;
     the unit pivots' columns are dropped, since a unit pivot row clears its
     column from them and adds only an invariant factor 1; and the other
     pivots come back as one-entry rows.  The rows are fresh dicts, the
@@ -144,11 +169,11 @@ def kernel_rows(m: NilManifold, bits) -> tuple[list[dict], int]:
     sections, t, ops, units, torsion = _KERNEL[m.family, m.betas, bits]
     rows = [{g: d} for g, d in torsion]
     h_b = ((len(bits), -m.b),)
-    for start, (prefix, end) in enumerate(sections):
+    for start, (prefix, end, replay) in enumerate(sections):
         row = dict(prefix)
         end = _rewrite(row, h_b, bits, t, end)
         assert end == start, "relator escaped its coset"
-        for k, q, g in ops:
+        for k, q, g in ops[replay]:
             x = row.get(g)
             if x:
                 _add(row, k, -q * x)

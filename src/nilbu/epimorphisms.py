@@ -2,8 +2,10 @@
 
 A character (Z2Char) is an epimorphism of one manifold: a bit per generator of
 its standard presentation, in the order s_1..s_n, v_1..v_g', h.  It is checked
-when it is made (char_for, with_bits and enumerate_epis all build through that
-check), and a layer given one reads its manifold from it.  Two epimorphisms
+when it is made, by presentation.check_character against the relators' parity
+masks at its manifold's b, with no presentation built unless the check fails
+(char_for, with_bits and enumerate_epis all build through that check), and a
+layer given one reads its manifold from it.  Two epimorphisms
 determine equivalent double covers (the same free involution up to conjugacy)
 when one is carried to the other by one of five induced automorphism moves;
 the orbit closure under those moves is a breadth-first search over bit tuples
@@ -19,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .presentation import _BOUND, check_epimorphism, fundamental_group
+from .presentation import _BOUND, check_character, fundamental_group
 from .seifert import FAMILIES, ROWS, NilError, NilManifold, Record
 
 
@@ -49,7 +51,7 @@ class Z2Char(Record):
         object.__setattr__(self, "manifold", manifold)
         object.__setattr__(self, "bits", tuple(bits))
         try:
-            check_epimorphism(fundamental_group(manifold), self.bits)
+            check_character(manifold, self.bits)
         except NilError as err:
             raise InvalidCharacter(str(err)) from err
 
@@ -276,8 +278,8 @@ def enumerate_epis(m: NilManifold) -> tuple[Z2Char, ...]:
     """All epimorphisms pi_1(m) -> Z2, lexicographic in the bit tuple.
 
     The bit tuples are the shared ones of m's row and parity in _MOD2; each
-    is built as a Z2Char, whose odd_relator check on m's own presentation
-    confirms it independently.
+    is built as a Z2Char, whose check_character against the relators'
+    parity masks at m's own b confirms it independently.
     """
     bits, _ = _MOD2[m.family, m.betas, m.b % 2]
     return tuple(Z2Char(m, phi) for phi in bits)

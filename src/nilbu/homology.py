@@ -5,7 +5,12 @@ unbounded (no overflow to report, ever).  The Smith normal form returns the
 unimodular transforms, which the abelianization uses to express generator
 images in the invariant-factor basis for the epimorphism counts and the
 index-1 torsion test (a mod-2 span test on integer masks); abelianization
-is the one caller of the Smith loop.  The covering oracle compares
+and h1 are the callers of the Smith loop.  pi_1 sees b only through the
+syllable h^-b, so h1 builds no presentation: _RELATIONS holds each family
+row's relation matrix at b = 0, built at import from presentation's
+_ROW_PARTS, and relation_matrix subtracts b at the entry of h and the
+section relator, which gives the transposed exponent-sum matrix of
+fundamental_group(m) entry by entry.  The covering oracle compares
 invariant factors only, of sparse Reidemeister-Schreier rows with mostly
 unit entries, so row_invariants needs no transforms: diagonalize reduces
 the rows to a diagonal by row and column operations, pivoting on the least
@@ -22,8 +27,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .presentation import (FinitePresentation, check_bits, exponent_matrix,
-                           fundamental_group)
+from .presentation import (_ROW_PARTS, FinitePresentation, check_bits,
+                           exponent_matrix)
 from .seifert import InvariantError, NilManifold, Record
 
 
@@ -163,7 +168,13 @@ def abelianization(pres: FinitePresentation) -> AbelianGroup:
     decomposition coordinates given by column j of U.
     """
     R = exponent_matrix(pres)
-    A = [[row[j] for row in R] for j in range(len(pres.generators))]
+    return _abelian_group(pres.generators, [[row[j] for row in R] for j
+                                            in range(len(pres.generators))])
+
+
+def _abelian_group(names, A) -> AbelianGroup:
+    """The group that relation matrix A (a row per generator, in the order
+    of names) presents, with generator images, as abelianization says."""
     S, U, _ = smith_normal_form(A)
     # the order of each decomposition coordinate, 0 when it is free
     orders = [row[i] if i < len(row) else 0 for i, row in enumerate(S)]
@@ -171,7 +182,7 @@ def abelianization(pres: FinitePresentation) -> AbelianGroup:
     tor_pos = [i for i, d in enumerate(orders) if d >= 2]
     gen_images = {name: tuple(U[i][j] for i in free_pos)
                   + tuple(U[i][j] % orders[i] for i in tor_pos)
-                  for j, name in enumerate(pres.generators)}
+                  for j, name in enumerate(names)}
     torsion = tuple(orders[i] for i in tor_pos)
     return AbelianGroup(len(free_pos), torsion, gen_images)
 
@@ -254,10 +265,29 @@ def row_invariants(rows, count: int) -> tuple[int, tuple[int, ...]]:
     return count - len(diag), tuple(x for x in d if x > 1)
 
 
+# (family, betas) -> H1's relation matrix of the row at b = 0, as tuples, a
+# row per generator and a column per relator; static like _ROW_PARTS
+_RELATIONS = {key: tuple(zip(*exponent_matrix(
+    FinitePresentation(names, fixed + (section,)))))
+    for key, (names, fixed, section, _) in _ROW_PARTS.items()}
+
+
+def relation_matrix(m: NilManifold) -> list[tuple[int, ...]]:
+    """H1's relation matrix of m, the transposed exponent_matrix of
+    fundamental_group(m), from m's row's template in _RELATIONS.
+
+    Free reduction keeps exponent sums, so h^-b only subtracts b from the
+    entry of h and the section relator, the last row's last entry.
+    """
+    *rows, last = _RELATIONS[m.family, m.betas]
+    return rows + [last[:-1] + (last[-1] - m.b,)]
+
+
 @lru_cache(maxsize=None)
 def h1(m: NilManifold) -> AbelianGroup:
-    """First homology of the manifold, via its fundamental group."""
-    return abelianization(fundamental_group(m))
+    """First homology of the manifold: abelianization(fundamental_group(m)),
+    from relation_matrix(m), with no presentation built."""
+    return _abelian_group(_ROW_PARTS[m.family, m.betas][0], relation_matrix(m))
 
 
 def mod2_rank(group: AbelianGroup) -> int:

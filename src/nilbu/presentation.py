@@ -23,6 +23,10 @@ _kernel_parts rewrites every relator but the section relator once per
 family row and character, and the section relator up to h^-b; the oracle's
 table in coverings diagonalizes those rows once, at import, as _ROW_PARTS
 is built here.
+_PARITIES holds each family row's relator parity masks the same way, the
+section relator's up to h^-b, and check_character tests a character of m
+against them with b mod 2 XORed in at h: the test that check_epimorphism
+makes on fundamental_group(m), which is built only to name an odd relator.
 reidemeister_schreier, which builds the whole kernel presentation, is kept
 as the reference that the tests hold the oracle's rows to; nothing in the
 package calls it, and the benchmark's tracer names it.
@@ -67,11 +71,19 @@ def letters(word) -> tuple[int, ...]:
                  for letter in ((gen,) * exp if exp > 0 else (-gen,) * -exp))
 
 
+def _parity(word: Word) -> int:
+    """The word's exponent-sum parities, bit k for generator k+1."""
+    odd = 0
+    for gen, exp in word:
+        odd ^= (exp & 1) << (gen - 1)
+    return odd
+
+
 class FinitePresentation(Record):
     """Generators by name, relators as syllable words, freely reduced on entry.
 
     _odd_masks holds each relator's exponent-sum parities, bit k for generator
-    k+1, XORed up as __init__ checks the syllables (reduction keeps sums).
+    k+1 (_parity; reduction keeps sums).
     """
 
     _fields = ("generators", "words")
@@ -87,15 +99,13 @@ class FinitePresentation(Record):
         masks = []
         for word in words:
             word = tuple(word)
-            odd = 0
             for gen, exp in word:
                 if type(gen) is not int or type(exp) is not int \
                         or not 1 <= gen <= g:
                     raise InvariantError("syllable %r references no generator"
                                          % ((gen, exp),))
-                odd ^= (exp & 1) << (gen - 1)
             reduced.append(free_reduce(word))
-            masks.append(odd)
+            masks.append(_parity(word))
         object.__setattr__(self, "words", tuple(reduced))
         object.__setattr__(self, "_odd_masks", tuple(masks))
 
@@ -174,6 +184,13 @@ def _row_parts(family: str, pairs) -> tuple:
 
 # (family, betas) -> _row_parts; static like ROWS, shared by the row's pi_1s
 _ROW_PARTS = {key: _row_parts(key[0], row.pairs) for key, row in ROWS.items()}
+
+
+# (family, betas) -> the number of generators, the parity masks of the
+# relators before the section relator and that of the section relator up
+# to h^-b; static like _ROW_PARTS
+_PARITIES = {key: (h, tuple(map(_parity, fixed)), _parity(section))
+             for key, (_, fixed, section, h) in _ROW_PARTS.items()}
 
 
 def _add(row: dict, gen: int, exp: int) -> None:
@@ -289,6 +306,23 @@ def check_epimorphism(pres: FinitePresentation, bits) -> None:
         raise NotAHomomorphism(
             "relator %s has odd image" % format_word(pres, word))
     if not any(bits):
+        raise NotSurjective("phi kills every generator")
+
+
+def check_character(m: NilManifold, bits) -> None:
+    """check_epimorphism(fundamental_group(m), bits), from m's row's masks.
+
+    h^-b adds b mod 2 at h to the section relator's parity mask, so the
+    test is the one that m's presentation makes, in the same order; the
+    presentation is built only to name an odd relator.
+    """
+    n, fixed, section = _PARITIES[m.family, m.betas]
+    check_bits(bits, n)
+    mask = sum(bit << i for i, bit in enumerate(bits))
+    section ^= (m.b & 1) << (n - 1)
+    if any((mask & odd).bit_count() & 1 for odd in fixed + (section,)):
+        check_epimorphism(fundamental_group(m), bits)  # raises, naming it
+    if not mask:
         raise NotSurjective("phi kills every generator")
 
 

@@ -26,9 +26,12 @@ this test makes it fail in tier-1 instead of in perfbench/selftest.py.
   cache, because z2_index and the oracle read H1 of the same covers and
   bases again across queries, and at that bound a warm query stream missed
   4.3 times as often and ran 18% slower.  The static
-  tables built at import, presentation._ROW_PARTS and epimorphisms._MOD2,
-  are no lru caches: clear_caches() leaves them, as a fresh process has
-  them.
+  tables built at import, presentation._ROW_PARTS and _PARITIES,
+  homology._RELATIONS, epimorphisms._MOD2 and coverings._KERNEL, are no
+  lru caches: clear_caches() leaves them, as a fresh process has them.
+  Since h1 and the character check read those tables, a sweep builds no
+  presentation, and fundamental_group's counts come from the test's own
+  calls.
 * workloads.check_claim calls nilbu.index_one_case(m, phi) and
   nilbu.index_three_case(m, phi) with the pair (item 1 drops the m), and
   the other five transcriptions, all by the names that nilbu re-exports
@@ -40,8 +43,7 @@ import sys
 
 import pytest
 
-from nilbu import (NilManifold, cli, enumerate_epis, fundamental_group,
-                   presentation, verify_sweep)
+from nilbu import NilManifold, cli, enumerate_epis, presentation, verify_sweep
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
@@ -63,11 +65,15 @@ def tracer():
 
 def test_tracer_installs_and_reads_a_sweep(tracer):
     assert verify_sweep(0)["ok"]
-    # the sweep's oracle builds no kernel presentation; the tracer wraps the
-    # module's reidemeister_schreier, so call it there on one pair
+    # the sweep builds no presentation, and its oracle no kernel
+    # presentation; the tracer wraps the module's fundamental_group and
+    # reidemeister_schreier, so call them there: pi_1 of one manifold once
+    # as a miss and once as a hit, and the rewriting on one pair
     m = NilManifold("T", 2)
     phi = enumerate_epis(m)[0]
-    presentation.reidemeister_schreier(fundamental_group(m), phi.bits)
+    presentation.fundamental_group(m)
+    pres = presentation.fundamental_group(m)
+    presentation.reidemeister_schreier(pres, phi.bits)
     summary = tracer.summary()
     assert summary["presentation.relator_letters"][0] > 0
     assert summary["presentation.rs_relator_letters"][0] > 0

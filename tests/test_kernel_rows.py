@@ -22,7 +22,7 @@ from nilbu import (NilManifold, abelianization, coverings, double_cover,
                    enumerate_epis, fundamental_group, presentation,
                    reidemeister_schreier, sweep, verify_cover)
 from nilbu.coverings import kernel_rows
-from nilbu.homology import row_invariants
+from nilbu.homology import diagonalize, row_invariants
 from nilbu.seifert import ROWS
 
 pytest.importorskip("hypothesis")
@@ -89,6 +89,37 @@ def test_rows_are_fresh_and_b_only_reaches_the_section_rows():
                          phi.bits)
     near, _ = kernel_rows(m, phi.bits)
     assert far[:-2] == near[:-2] and far[-2:] != near[-2:]
+
+
+def test_pruned_replays_match_a_full_replay_on_sweep():
+    # each section row replays only the column operations that can change
+    # it; replaying all of them on both rows, in the order diagonalize
+    # recorded them, must give the same rows on every key a sweep reaches
+    full = {}
+    for m in sweep(32):
+        for phi in enumerate_epis(m):
+            key = (m.family, m.betas, phi.bits)
+            if key not in full:
+                _, fixed, section, _ = presentation._ROW_PARTS[key[:2]]
+                rows, sections, t = presentation._kernel_parts(
+                    fixed, section, phi.bits)
+                full[key] = sections, t, diagonalize(rows)
+            sections, t, (diag, ops) = full[key]
+            units = [g for g, d in diag.items() if d == 1]
+            expected = [{g: d} for g, d in diag.items() if d > 1]
+            for prefix, end in sections:
+                row = dict(prefix)
+                presentation._rewrite(row, ((len(phi.bits), -m.b),),
+                                      phi.bits, t, end)
+                for k, q, g in ops:
+                    if row.get(g):
+                        presentation._add(row, k, -q * row[g])
+                for g in units:
+                    row.pop(g, None)
+                expected.append(row)
+            assert kernel_rows(m, phi.bits) \
+                == (expected, 2 * len(phi.bits) - 1 - len(units)), (m, key)
+    assert len(full) == 41
 
 
 def test_swapped_ceil_and_floor_counts_are_rejected(monkeypatch):
