@@ -4,11 +4,12 @@ double_cover computes the Seifert data of the cover cut out by an epimorphism
 phi of m = phi.manifold in closed form per family, and asserts e(cover) =
 2^(1 - 2 phi(h)) e(base) on the integers (c, lcm), e = c / lcm, of the family
 rows.  verify_cover, the independent oracle, rewrites the fundamental group
-straight into the exponent-sum rows of the index-2 subgroup
-(Reidemeister-Schreier, presentation._rewrite, with no kernel presentation
-built), compares the rows' invariant factors with H1 of the claimed cover
-and checks the Euler relation by its own cross-multiplication of (c, lcm),
-which cd_invariants reads off the Seifert invariants, not the family rows.
+straight into the exponent-sum rows of the index-2 subgroup with _rewrite
+(Reidemeister-Schreier, Lyndon and Schupp, Combinatorial Group Theory,
+II.4, with no kernel presentation built), compares the rows' invariant
+factors with H1 of the claimed cover and checks the Euler relation by its
+own cross-multiplication of (c, lcm), which cd_invariants reads off the
+Seifert invariants, not the family rows.
 Only the section relator sees b, so _KERNEL holds every other relator's
 rows diagonalized once, at import, and kernel_rows finishes a kernel from
 them and the section relator's two rows.  quotients_of inverts
@@ -25,10 +26,9 @@ fixes phi(h) once e(base) and e(cover) are known.
 from __future__ import annotations
 
 from . import bu_index
-from .epimorphisms import Z2Char, class_representatives
+from .epimorphisms import _MOD2, Z2Char, class_representatives
 from .homology import diagonalize, h1, row_invariants
-from .presentation import (_ROW_PARTS, FinitePresentation, _add,
-                           _kernel_parts, _rewrite)
+from .presentation import _ROW_PARTS
 from .seifert import ROWS, NilManifold, Record, cd_invariants
 
 
@@ -98,54 +98,88 @@ def double_cover(phi: Z2Char) -> NilManifold:
     return cover
 
 
-def _live_ops(ops, columns) -> list:
-    """The column operations that can change a row whose nonzero entries
-    lie in columns: col_k -= q * col_g changes the row only if col_g can be
-    nonzero there, and then col_k can be too."""
-    columns = set(columns)
-    live = []
-    for k, q, g in ops:
-        if g in columns:
-            columns.add(k)
-            live.append((k, q, g))
-    return live
+def _add(row: dict, gen: int, exp: int) -> None:
+    exp += row.get(gen, 0)
+    if exp:
+        row[gen] = exp
+    else:
+        row.pop(gen, None)
+
+
+def _halves(k: int) -> tuple[int, int]:
+    """x^k with phi(x) = 1, x not t: the exponents of the Schreier generators
+    of the first coset read and of the other, ceil and floor of |k|/2."""
+    sign = 1 if k > 0 else -1
+    return sign * ((abs(k) + 1) // 2), sign * (abs(k) // 2)
+
+
+def _rewrite(row: dict, word, bits, t: int, coset: int) -> int:
+    """Add to row the exponent sums of word rewritten from coset; the end coset.
+
+    Schreier generator x.r, for 0-based generator x, is column 2x + r.
+    """
+    for gen, exp in word:
+        x = gen - 1
+        if not bits[x]:
+            _add(row, 2 * x + coset, exp)
+            continue
+        if x == t:
+            _add(row, 2 * t + 1, (exp + coset) // 2)
+        else:
+            first = coset if exp > 0 else coset ^ 1
+            near, far = _halves(exp)
+            _add(row, 2 * x + first, near)
+            _add(row, 2 * x + (first ^ 1), far)
+        coset ^= exp & 1
+    return coset
+
+
+def _kernel_parts(fixed, section, bits) -> tuple:
+    """ker(phi) of a family row but for b: the fixed relators' rows from both
+    cosets, the section relator's two rows up to h^-b with their end
+    cosets, and t."""
+    h = len(bits) - 1
+    t = h if bits[h] else bits.index(1)
+    rows = []
+    for word in fixed:
+        for start in (0, 1):
+            row: dict = {}
+            end = _rewrite(row, word, bits, t, start)
+            assert end == start, "relator escaped its coset"
+            if row:
+                rows.append(row)
+    sections = []
+    for start in (0, 1):
+        row = {}
+        sections.append((row, _rewrite(row, section, bits, t, start)))
+    return tuple(rows), tuple(sections), t
 
 
 def _kernel_table() -> dict:
     """The b-free part of every kernel the oracle reduces, reduced once.
 
-    The bits that keep every fixed relator in its coset are those of the
-    epimorphisms of the group that the fixed relators present.  For each
-    key the fixed relators' rows go through diagonalize, and the entry
-    keeps the section relator's two rows up to h^-b, each with its end
-    coset and the slice of the column operations that kernel_rows replays
-    on it, then t, those operations, the unit pivots' columns and the other
-    pivots as (column, |pivot|).  A section row's slice keeps only the
-    operations that can change it (_live_ops), from the columns of its
-    prefix and the one that h^-b lands on: h.1 when phi(h) = 1, since t is
-    then h, and else h.r for the prefix's end coset r (presentation._rewrite).
+    The keys are the bits of the epimorphisms of each family row at either
+    parity of b, from epimorphisms._MOD2.  For each key the fixed
+    relators' rows go through diagonalize, and the entry keeps the section
+    relator's two rows up to h^-b with their end cosets, t, the column
+    operations, the unit pivots' columns and the other pivots as (column,
+    |pivot|).
     """
     table = {}
-    for (family, betas), (names, fixed, section, _) in _ROW_PARTS.items():
-        for bits in FinitePresentation(names, fixed).epimorphism_bits():
+    for (family, betas), (_, fixed, section, _) in _ROW_PARTS.items():
+        for bits in dict.fromkeys(_MOD2[family, betas, 0][0]
+                                  + _MOD2[family, betas, 1][0]):
             rows, sections, t = _kernel_parts(fixed, section, bits)
             diag, ops = diagonalize(rows)
-            h = len(bits) - 1
-            spans, replays = [], []
-            for prefix, end in sections:
-                live = _live_ops(ops, [*prefix, 2 * h + (bits[h] or end)])
-                spans.append((prefix, end, slice(len(replays),
-                                                 len(replays) + len(live))))
-                replays += live
             table[family, betas, bits] = (
-                tuple(spans), t, tuple(replays),
+                sections, t, tuple(ops),
                 tuple(g for g, d in diag.items() if d == 1),
                 tuple((g, d) for g, d in diag.items() if d > 1))
     return table
 
 
-# (family, betas, bits) -> _kernel_table's entry, for every nonzero bits
-# that keeps each fixed relator in its coset; static like _ROW_PARTS
+# (family, betas, bits) -> _kernel_table's entry, for the bits of every
+# epimorphism of a family row's manifolds; static like _ROW_PARTS
 _KERNEL = _kernel_table()
 
 
@@ -156,12 +190,11 @@ def kernel_rows(m: NilManifold, bits) -> tuple[list[dict], int]:
     exponent sums of the Reidemeister-Schreier rewriting of pi_1 over the
     transversal {1, t}, t = h if phi(h) = 1, else the first phi = 1
     generator, with 2n - 1 Schreier generators, x.r in column 2x + r
-    (presentation._rewrite).  Only the section relator sees b, through
-    h^-b, so _KERNEL holds the fixed relators' rows already diagonalized.
-    Here h^-b is rewritten onto the two section rows, one syllable, O(1) in
-    b; the column operations of the diagonalization that can change a
-    section row are replayed on it;
-    the unit pivots' columns are dropped, since a unit pivot row clears its
+    (_rewrite).  Only the section relator sees b, through h^-b, so _KERNEL
+    holds the fixed relators' rows already diagonalized.  Here h^-b is
+    rewritten onto the two section rows, one syllable, O(1) in b; the
+    column operations of the diagonalization are replayed on them; the
+    unit pivots' columns are dropped, since a unit pivot row clears its
     column from them and adds only an invariant factor 1; and the other
     pivots come back as one-entry rows.  The rows are fresh dicts, the
     section rows last.
@@ -169,11 +202,11 @@ def kernel_rows(m: NilManifold, bits) -> tuple[list[dict], int]:
     sections, t, ops, units, torsion = _KERNEL[m.family, m.betas, bits]
     rows = [{g: d} for g, d in torsion]
     h_b = ((len(bits), -m.b),)
-    for start, (prefix, end, replay) in enumerate(sections):
+    for start, (prefix, end) in enumerate(sections):
         row = dict(prefix)
         end = _rewrite(row, h_b, bits, t, end)
         assert end == start, "relator escaped its coset"
-        for k, q, g in ops[replay]:
+        for k, q, g in ops:
             x = row.get(g)
             if x:
                 _add(row, k, -q * x)

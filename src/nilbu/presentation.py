@@ -15,18 +15,11 @@ nothing else; odd_relator tests it against the parities of each relator's
 exponent sums, found as the presentation is validated, and epimorphism_bits
 runs through every nonzero assignment as an integer against the same parities.
 
-The covering oracle reads an index-2 subgroup ker(phi) only through its
-exponent sums, so _rewrite adds a word's Reidemeister-Schreier rewriting
-straight to a sparse row (Lyndon and Schupp, Combinatorial Group Theory,
-II.4) and no presentation is built.  pi_1 sees b only through h^-b, so
-_kernel_parts rewrites every relator but the section relator once per
-family row and character, and the section relator up to h^-b; the oracle's
-table in coverings diagonalizes those rows once, at import, as _ROW_PARTS
-is built here.
-_PARITIES holds each family row's relator parity masks the same way, the
-section relator's up to h^-b, and check_character tests a character of m
-against them with b mod 2 XORed in at h: the test that check_epimorphism
-makes on fundamental_group(m), which is built only to name an odd relator.
+pi_1 sees b only through h^-b, so _ROW_PARTS holds each family row's
+relators with the section relator up to h^-b, and _PARITIES their parity
+masks; check_character tests a character of m against those masks with
+b mod 2 XORed in at h: the test that check_epimorphism makes on
+fundamental_group(m), which is built only to name an odd relator.
 reidemeister_schreier, which builds the whole kernel presentation, is kept
 as the reference that the tests hold the oracle's rows to; nothing in the
 package calls it, and the benchmark's tracer names it.
@@ -191,63 +184,6 @@ _ROW_PARTS = {key: _row_parts(key[0], row.pairs) for key, row in ROWS.items()}
 # to h^-b; static like _ROW_PARTS
 _PARITIES = {key: (h, tuple(map(_parity, fixed)), _parity(section))
              for key, (_, fixed, section, h) in _ROW_PARTS.items()}
-
-
-def _add(row: dict, gen: int, exp: int) -> None:
-    exp += row.get(gen, 0)
-    if exp:
-        row[gen] = exp
-    else:
-        row.pop(gen, None)
-
-
-def _halves(k: int) -> tuple[int, int]:
-    """x^k with phi(x) = 1, x not t: the exponents of the Schreier generators
-    of the first coset read and of the other, ceil and floor of |k|/2."""
-    sign = 1 if k > 0 else -1
-    return sign * ((abs(k) + 1) // 2), sign * (abs(k) // 2)
-
-
-def _rewrite(row: dict, word: Word, bits, t: int, coset: int) -> int:
-    """Add to row the exponent sums of word rewritten from coset; the end coset.
-
-    Schreier generator x.r, for 0-based generator x, is column 2x + r.
-    """
-    for gen, exp in word:
-        x = gen - 1
-        if not bits[x]:
-            _add(row, 2 * x + coset, exp)
-            continue
-        if x == t:
-            _add(row, 2 * t + 1, (exp + coset) // 2)
-        else:
-            first = coset if exp > 0 else coset ^ 1
-            near, far = _halves(exp)
-            _add(row, 2 * x + first, near)
-            _add(row, 2 * x + (first ^ 1), far)
-        coset ^= exp & 1
-    return coset
-
-
-def _kernel_parts(fixed, section, bits) -> tuple:
-    """ker(phi) of a family row but for b: the fixed relators' rows from both
-    cosets, the section relator's two rows up to h^-b with their end
-    cosets, and t."""
-    h = len(bits) - 1
-    t = h if bits[h] else bits.index(1)
-    rows = []
-    for word in fixed:
-        for start in (0, 1):
-            row: dict = {}
-            end = _rewrite(row, word, bits, t, start)
-            assert end == start, "relator escaped its coset"
-            if row:
-                rows.append(row)
-    sections = []
-    for start in (0, 1):
-        row = {}
-        sections.append((row, _rewrite(row, section, bits, t, start)))
-    return tuple(rows), tuple(sections), t
 
 
 # entries of each bounded lru cache: a verify visit or a CLI query touches at

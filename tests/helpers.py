@@ -19,7 +19,7 @@ order through two combine closures, every column operation touching every
 row, so the two must return identical (S, U, V).  abelian_invariants adds a
 presentation's exponent sums up into sparse rows for row_invariants, and
 kernel_rows is the reference for the oracle's reduced kernel rows: the
-fixed relators' rows as presentation._kernel_parts rewrites them, with
+fixed relators' rows as coverings._kernel_parts rewrites them, with
 h^-b rewritten onto the section relator's two, none of them reduced.
 """
 
@@ -31,7 +31,7 @@ from nilbu import (CoveringDescriptor, EpiClass, EpiClassPartition,
                    NilManifold, apply_move, available_moves,
                    check_epimorphism, double_cover, enumerate_epis,
                    fundamental_group, z2_index)
-from nilbu import presentation
+from nilbu import coverings, presentation
 from nilbu.homology import identity, row_invariants
 from nilbu.seifert import FAMILIES, ROWS
 
@@ -171,16 +171,16 @@ def abelian_invariants(pres) -> tuple:
 def kernel_rows(m, bits) -> tuple:
     """The exponent-sum rows of ker(phi) in pi_1(m), and their column count.
 
-    The rewriting of nilbu's oracle (presentation._kernel_parts and
+    The rewriting of nilbu's oracle (coverings._kernel_parts and
     _rewrite), with nothing reduced: the fixed relators' rows from both
     cosets, then the section relator's two with h^-b added, over 2n - 1
     Schreier generators.  The rows are fresh dicts.
     """
     _, fixed, section, _ = presentation._ROW_PARTS[m.family, m.betas]
-    rows, sections, t = presentation._kernel_parts(fixed, section, bits)
+    rows, sections, t = coverings._kernel_parts(fixed, section, bits)
     rows = list(rows)
     for start, (row, end) in enumerate(sections):
-        end = presentation._rewrite(row, ((len(bits), -m.b),), bits, t, end)
+        end = coverings._rewrite(row, ((len(bits), -m.b),), bits, t, end)
         assert end == start, "relator escaped its coset"
         rows.append(row)
     return rows, 2 * len(bits) - 1

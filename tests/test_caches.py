@@ -5,9 +5,9 @@ _BOUND entries, and every manifold's characters share the bit tuples of the
 mod-2 table, which is built at import with one entry per family row and
 parity of b and never grows.  So is the oracle's kernel table,
 coverings._KERNEL, built at import from the family rows' relators in
-presentation._ROW_PARTS, with one entry per family row and character of
-its relators but the section relator, 73 in all, each holding those
-relators' rows already diagonalized.  So are the two tables that stand in
+presentation._ROW_PARTS, with one entry per family row and epimorphism
+at either parity of b, 41 in all, each holding the rows of the relators
+but the section relator already diagonalized.  So are the two tables that stand in
 for a manifold's presentation, built at import from the same relators with
 one entry per family row, 15 each: homology._RELATIONS, H1's relation
 matrix at b = 0, and presentation._PARITIES, the relators' parity masks
@@ -34,14 +34,14 @@ def test_caches_stay_bounded_through_deeper_sweeps():
     for cached in (fundamental_group, h1, enumerate_epis,
                    equivalence_classes):
         cached.cache_clear()
-    assert len(coverings._KERNEL) == 73
+    assert len(coverings._KERNEL) == 41
     for depth in (16, 64):
         assert verify_sweep(depth)["ok"], depth
         for bounded in (fundamental_group, enumerate_epis,
                         equivalence_classes):
             assert bounded.cache_info().currsize <= _BOUND, depth
         assert len(epimorphisms._MOD2) == 30, depth
-        assert len(coverings._KERNEL) == 73, depth
+        assert len(coverings._KERNEL) == 41, depth
         assert len(homology._RELATIONS) == 15, depth
         assert len(presentation._PARITIES) == 15, depth
         near = enumerate_epis(NilManifold("T", 2))

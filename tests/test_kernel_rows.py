@@ -1,17 +1,18 @@
 """The oracle's kernel rows against the Reidemeister-Schreier references.
 
 coverings.kernel_rows gives rows with the invariants of ker(phi): the
-fixed relators' rows of pi_1, rewritten over the transversal t = h if
-phi(h) = 1, else the first phi = 1 generator, are diagonalized once per
-key at import, and each call rewrites h^-b onto the section relator's two
-rows and replays the diagonalization's column operations on them.  The
+fixed relators' rows of pi_1, which coverings._kernel_parts rewrites over
+the transversal t = h if phi(h) = 1, else the first phi = 1 generator, are
+diagonalized once per key at import, and each call rewrites h^-b onto the
+section relator's two rows and replays the diagonalization's column
+operations on them.  The
 invariants that homology.row_invariants reads off those rows must equal
 those of the unreduced rows of helpers.kernel_rows, those of the kernel
 presentation that reidemeister_schreier builds (its own choice of t), and
 those of the letter-level rewriting in helpers.py under every phi = 1
 transversal, since every Schreier transversal presents the same subgroup.
-A builder that gives the ceil and floor counts of an inverse syllable to
-the wrong cosets must be caught by the oracle, and so must a table with
+A coverings._halves that gives the ceil and floor counts of an inverse
+syllable to the wrong cosets must be caught by the oracle, and so must a table with
 one column operation negated or dropped.
 """
 
@@ -19,10 +20,10 @@ import pytest
 
 import helpers
 from nilbu import (NilManifold, abelianization, coverings, double_cover,
-                   enumerate_epis, fundamental_group, presentation,
-                   reidemeister_schreier, sweep, verify_cover)
+                   enumerate_epis, fundamental_group, reidemeister_schreier,
+                   sweep, verify_cover)
 from nilbu.coverings import kernel_rows
-from nilbu.homology import diagonalize, row_invariants
+from nilbu.homology import row_invariants
 from nilbu.seifert import ROWS
 
 pytest.importorskip("hypothesis")
@@ -91,37 +92,6 @@ def test_rows_are_fresh_and_b_only_reaches_the_section_rows():
     assert far[:-2] == near[:-2] and far[-2:] != near[-2:]
 
 
-def test_pruned_replays_match_a_full_replay_on_sweep():
-    # each section row replays only the column operations that can change
-    # it; replaying all of them on both rows, in the order diagonalize
-    # recorded them, must give the same rows on every key a sweep reaches
-    full = {}
-    for m in sweep(32):
-        for phi in enumerate_epis(m):
-            key = (m.family, m.betas, phi.bits)
-            if key not in full:
-                _, fixed, section, _ = presentation._ROW_PARTS[key[:2]]
-                rows, sections, t = presentation._kernel_parts(
-                    fixed, section, phi.bits)
-                full[key] = sections, t, diagonalize(rows)
-            sections, t, (diag, ops) = full[key]
-            units = [g for g, d in diag.items() if d == 1]
-            expected = [{g: d} for g, d in diag.items() if d > 1]
-            for prefix, end in sections:
-                row = dict(prefix)
-                presentation._rewrite(row, ((len(phi.bits), -m.b),),
-                                      phi.bits, t, end)
-                for k, q, g in ops:
-                    if row.get(g):
-                        presentation._add(row, k, -q * row[g])
-                for g in units:
-                    row.pop(g, None)
-                expected.append(row)
-            assert kernel_rows(m, phi.bits) \
-                == (expected, 2 * len(phi.bits) - 1 - len(units)), (m, key)
-    assert len(full) == 41
-
-
 def test_swapped_ceil_and_floor_counts_are_rejected(monkeypatch):
     # an inverse syllable read from coset r meets coset 1 - r first; giving
     # the ceil to r instead is the mutant.  (Swapping for both signs would
@@ -133,8 +103,8 @@ def test_swapped_ceil_and_floor_counts_are_rejected(monkeypatch):
         near, far = halves(k)
         return (far, near) if k < 0 else (near, far)
 
-    halves = presentation._halves
-    monkeypatch.setattr(presentation, "_halves", swapped)
+    halves = coverings._halves
+    monkeypatch.setattr(coverings, "_halves", swapped)
     monkeypatch.setattr(coverings, "_KERNEL", coverings._kernel_table())
     assert not all(verify_cover(phi, double_cover(phi)) for phi in pairs)
 

@@ -12,7 +12,9 @@ entry per family row, give what the presentation gave:
   relator's up to h^-b, and check_character(m, bits) XORs b mod 2 in at h.
   It must raise what check_epimorphism(fundamental_group(m), bits) raises,
   with the same message, for every assignment, well formed or not; a
-  mutant that leaves the parity of b out must be caught.
+  mutant that leaves the parity of b out must be caught.  A bit tuple is
+  a key of the oracle's table, coverings._KERNEL, exactly when
+  check_character accepts it at either parity of b.
 
 Neither h1 nor the character check builds a presentation, so a sweep builds
 none.
@@ -24,9 +26,10 @@ from itertools import product
 import pytest
 
 from nilbu import (FinitePresentation, NilManifold, NotAHomomorphism,
-                   abelianization, check_epimorphism, enumerate_epis,
-                   equivalence_classes, exponent_matrix, fundamental_group,
-                   h1, homology, presentation, verify_sweep)
+                   abelianization, check_epimorphism, coverings,
+                   enumerate_epis, equivalence_classes, exponent_matrix,
+                   fundamental_group, h1, homology, presentation,
+                   verify_sweep)
 from nilbu.homology import relation_matrix
 from nilbu.presentation import check_character
 from nilbu.seifert import NilError, ROWS
@@ -109,6 +112,20 @@ def disagreements(check):
 def test_character_check_matches_the_presentation():
     assert len(presentation._PARITIES) == len(ROWS) == 15
     assert disagreements(check_character) == []
+
+
+def test_kernel_keys_are_the_accepted_characters():
+    # cover M --phi looks a checked character up in coverings._KERNEL, so
+    # a bit tuple is a key exactly when it is a character at either parity
+    accepted = set()
+    for (family, betas), row in ROWS.items():
+        names = presentation._ROW_PARTS[family, betas][0]
+        for bits in product((0, 1), repeat=len(names)):
+            if any(outcome(check_character, NilManifold(family, b, betas),
+                           bits) is None
+                   for b in (row.b_min, row.b_min + 1)):
+                accepted.add((family, betas, bits))
+    assert set(coverings._KERNEL) == accepted
 
 
 def test_character_check_names_the_odd_relator():
