@@ -1,18 +1,17 @@
 """Epimorphisms pi_1 -> Z2 of the Nil manifolds and their equivalence classes.
 
 A character (Z2Char) is an epimorphism of one manifold: a bit per generator of
-its standard presentation, in the order s_1..s_n, v_1..v_g', h.  It is checked
-when it is made, by presentation.check_character against the relators' parity
-masks at its manifold's b, with no presentation built unless the check fails
-(char_for, with_bits and enumerate_epis all build through that check), and a
-layer given one reads its manifold from it.  Two epimorphisms
-determine equivalent double covers (the same free involution up to conjugacy)
-when one is carried to the other by one of five induced automorphism moves;
-the orbit closure under those moves is a breadth-first search over bit tuples
-among the epimorphisms.  pi_1 sees b only through the syllable h^-b, so the
-epimorphism bits and their orbits depend only on the family row and b mod 2:
-both are found once per such key, at import, and every manifold's characters
-and classes are built from those shared tuples.  All orderings are
+its standard presentation, in the order s_1..s_n, v_1..v_g', h.  Two
+epimorphisms determine equivalent double covers (the same free involution up
+to conjugacy) when one is carried to the other by one of five induced
+automorphism moves; the orbit closure under those moves is a breadth-first
+search over bit tuples among the epimorphisms.  pi_1 sees b only through the
+syllable h^-b, so the epimorphism bits and their orbits depend only on the
+family row and b mod 2: both are found once per such key, at import, in
+_MOD2, and every manifold's characters and classes are built from those
+shared tuples.  A character is checked when it is made (char_for, with_bits
+and enumerate_epis build through it) by a lookup of its bits in _MOD2, and a
+layer given one reads its manifold from it.  All orderings are
 deterministic: characters are compared by their bit tuple.
 """
 
@@ -21,7 +20,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .presentation import _BOUND, check_character, fundamental_group
+from .presentation import (_BOUND, check_bits, check_epimorphism,
+                           fundamental_group)
 from .seifert import FAMILIES, ROWS, NilError, NilManifold, Record
 
 
@@ -273,13 +273,23 @@ _MOD2 = {(family, betas, b % 2): _mod2_layer(NilManifold(family, b, betas))
          for b in (row.b_min, row.b_min + 1)}
 
 
+def check_character(m: NilManifold, bits) -> None:
+    """Raise what check_epimorphism(fundamental_group(m), bits) raises, by
+    a lookup in _MOD2; the presentation is built only to name the fault."""
+    n_s, n_v = _shape(m.family)
+    check_bits(bits, n_s + n_v + 1)  # first: (True, 0) == (1, 0)
+    if bits not in _MOD2[m.family, m.betas, m.b % 2][0]:
+        check_epimorphism(fundamental_group(m), bits)
+        raise AssertionError("_MOD2 misses the epimorphism %r of %s"
+                             % (bits, m.encode()))
+
+
 @lru_cache(maxsize=_BOUND)
 def enumerate_epis(m: NilManifold) -> tuple[Z2Char, ...]:
     """All epimorphisms pi_1(m) -> Z2, lexicographic in the bit tuple.
 
-    The bit tuples are the shared ones of m's row and parity in _MOD2; each
-    is built as a Z2Char, whose check_character against the relators'
-    parity masks at m's own b confirms it independently.
+    The bit tuples are the shared ones of m's row and parity in _MOD2, each
+    built as a Z2Char.
     """
     bits, _ = _MOD2[m.family, m.betas, m.b % 2]
     return tuple(Z2Char(m, phi) for phi in bits)

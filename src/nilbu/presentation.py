@@ -16,10 +16,8 @@ exponent sums, found as the presentation is validated, and epimorphism_bits
 runs through every nonzero assignment as an integer against the same parities.
 
 pi_1 sees b only through h^-b, so _ROW_PARTS holds each family row's
-relators with the section relator up to h^-b, and _PARITIES their parity
-masks; check_character tests a character of m against those masks with
-b mod 2 XORed in at h: the test that check_epimorphism makes on
-fundamental_group(m), which is built only to name an odd relator.
+relators with the section relator up to h^-b, shared by every presentation
+of the row.
 reidemeister_schreier, which builds the whole kernel presentation, is kept
 as the reference that the tests hold the oracle's rows to; nothing in the
 package calls it, and the benchmark's tracer names it.
@@ -179,16 +177,9 @@ def _row_parts(family: str, pairs) -> tuple:
 _ROW_PARTS = {key: _row_parts(key[0], row.pairs) for key, row in ROWS.items()}
 
 
-# (family, betas) -> the number of generators, the parity masks of the
-# relators before the section relator and that of the section relator up
-# to h^-b; static like _ROW_PARTS
-_PARITIES = {key: (h, tuple(map(_parity, fixed)), _parity(section))
-             for key, (_, fixed, section, h) in _ROW_PARTS.items()}
-
-
-# entries of each bounded lru cache: a verify visit or a CLI query touches at
-# most 24 manifolds (m, up to 7 covers and 16 candidate bases in
-# quotients_of), so nothing is evicted within one
+# entries of each bounded lru cache: from cleared caches a verify visit or a
+# CLI query fills at most 1 entry of each (fundamental_group only for a
+# rejected JSON --phi), so nothing is evicted within one
 _BOUND = 32
 
 
@@ -242,23 +233,6 @@ def check_epimorphism(pres: FinitePresentation, bits) -> None:
         raise NotAHomomorphism(
             "relator %s has odd image" % format_word(pres, word))
     if not any(bits):
-        raise NotSurjective("phi kills every generator")
-
-
-def check_character(m: NilManifold, bits) -> None:
-    """check_epimorphism(fundamental_group(m), bits), from m's row's masks.
-
-    h^-b adds b mod 2 at h to the section relator's parity mask, so the
-    test is the one that m's presentation makes, in the same order; the
-    presentation is built only to name an odd relator.
-    """
-    n, fixed, section = _PARITIES[m.family, m.betas]
-    check_bits(bits, n)
-    mask = sum(bit << i for i, bit in enumerate(bits))
-    section ^= (m.b & 1) << (n - 1)
-    if any((mask & odd).bit_count() & 1 for odd in fixed + (section,)):
-        check_epimorphism(fundamental_group(m), bits)  # raises, naming it
-    if not mask:
         raise NotSurjective("phi kills every generator")
 
 

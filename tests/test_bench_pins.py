@@ -26,12 +26,11 @@ this test makes it fail in tier-1 instead of in perfbench/selftest.py.
   cache, because z2_index and the oracle read H1 of the same covers and
   bases again across queries, and at that bound a warm query stream missed
   4.3 times as often and ran 18% slower.  The static
-  tables built at import, presentation._ROW_PARTS and _PARITIES,
-  homology._RELATIONS, epimorphisms._MOD2 and coverings._KERNEL, are no
-  lru caches: clear_caches() leaves them, as a fresh process has them.
-  Since h1 and the character check read those tables, a sweep builds no
-  presentation, and fundamental_group's counts come from the test's own
-  calls.
+  tables built at import, presentation._ROW_PARTS, homology._RELATIONS,
+  epimorphisms._MOD2 and coverings._KERNEL, are no lru caches:
+  clear_caches() leaves them, as a fresh process has them.  Since h1 and
+  the character check read those tables, a sweep builds no presentation,
+  and fundamental_group's counts come from the test's own calls.
 * workloads.check_claim calls nilbu.index_one_case(m, phi) and
   nilbu.index_three_case(m, phi) with the pair (item 1 drops the m), and
   the other five transcriptions, all by the names that nilbu re-exports

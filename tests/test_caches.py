@@ -7,11 +7,10 @@ parity of b and never grows.  So is the oracle's kernel table,
 coverings._KERNEL, built at import from the family rows' relators in
 presentation._ROW_PARTS, with one entry per family row and epimorphism
 at either parity of b, 41 in all, each holding the rows of the relators
-but the section relator already diagonalized.  So are the two tables that stand in
-for a manifold's presentation, built at import from the same relators with
-one entry per family row, 15 each: homology._RELATIONS, H1's relation
-matrix at b = 0, and presentation._PARITIES, the relators' parity masks
-that check a character.  h1 is the one unbounded
+but the section relator already diagonalized.  So is the table that stands in
+for a manifold's presentation in h1, homology._RELATIONS, built at import
+from the same relators with one entry per family row, 15 in all: H1's
+relation matrix at b = 0.  h1 is the one unbounded
 cache: z2_index and the oracle read H1 of the same covers and bases again
 across queries, and at that bound a warm query stream missed 4.3 times as
 often and ran 18% slower.  Outside the caches, the memory that a sweep
@@ -26,7 +25,7 @@ import tracemalloc
 
 from nilbu import (NilManifold, coverings, enumerate_epis, epimorphisms,
                    equivalence_classes, fundamental_group, h1, homology,
-                   presentation, verify_sweep)
+                   verify_sweep)
 from nilbu.presentation import _BOUND
 
 
@@ -43,7 +42,6 @@ def test_caches_stay_bounded_through_deeper_sweeps():
         assert len(epimorphisms._MOD2) == 30, depth
         assert len(coverings._KERNEL) == 41, depth
         assert len(homology._RELATIONS) == 15, depth
-        assert len(presentation._PARITIES) == 15, depth
         near = enumerate_epis(NilManifold("T", 2))
         far = enumerate_epis(NilManifold("T", 10 ** 12))
         assert len(near) == len(far) == 7, depth

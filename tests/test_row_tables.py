@@ -1,20 +1,22 @@
 """The per-row tables that stand in for a manifold's presentation.
 
 pi_1 of a Nil manifold sees b only through the syllable h^-b of the section
-relator, so two tables built at import from presentation._ROW_PARTS, one
-entry per family row, give what the presentation gave:
+relator, so homology._RELATIONS, built at import from
+presentation._ROW_PARTS with one entry per family row, gives what the
+presentation gave: it holds H1's relation matrix at b = 0, and
+relation_matrix(m) subtracts b at (h, section relator).  It must equal the
+transposed exponent_matrix(fundamental_group(m)) entry by entry, so h1(m)
+equals abelianization(fundamental_group(m)), generator images too.
 
-* homology._RELATIONS holds H1's relation matrix at b = 0, and
-  relation_matrix(m) subtracts b at (h, section relator).  It must equal
-  the transposed exponent_matrix(fundamental_group(m)) entry by entry, so
-  h1(m) equals abelianization(fundamental_group(m)), generator images too.
-* presentation._PARITIES holds the relators' parity masks, the section
-  relator's up to h^-b, and check_character(m, bits) XORs b mod 2 in at h.
-  It must raise what check_epimorphism(fundamental_group(m), bits) raises,
-  with the same message, for every assignment, well formed or not; a
-  mutant that leaves the parity of b out must be caught.  A bit tuple is
-  a key of the oracle's table, coverings._KERNEL, exactly when
-  check_character accepts it at either parity of b.
+The characters need no table of their own: epimorphisms.check_character(m,
+bits) accepts the bits exactly when they are an epimorphism of m's row and
+parity in epimorphisms._MOD2.  It must raise what
+check_epimorphism(fundamental_group(m), bits) raises, with the same message,
+for every assignment, well formed or not, at b_min, b_min + 1, 10^12 and
+10^12 + 1 of every row; a mutant that looks up b's parity wrong must be
+caught, and a table that misses an epimorphism must raise AssertionError.
+A bit tuple is a key of the oracle's table, coverings._KERNEL, exactly when
+check_epimorphism accepts it on m's presentation at either parity of b.
 
 Neither h1 nor the character check builds a presentation, so a sweep builds
 none.
@@ -26,12 +28,12 @@ from itertools import product
 import pytest
 
 from nilbu import (FinitePresentation, NilManifold, NotAHomomorphism,
-                   abelianization, check_epimorphism, coverings,
-                   enumerate_epis, equivalence_classes, exponent_matrix,
-                   fundamental_group, h1, homology, presentation,
+                   Z2Char, abelianization, check_epimorphism, coverings,
+                   enumerate_epis, epimorphisms, equivalence_classes,
+                   exponent_matrix, fundamental_group, h1, homology,
                    verify_sweep)
+from nilbu.epimorphisms import check_character
 from nilbu.homology import relation_matrix
-from nilbu.presentation import check_character
 from nilbu.seifert import NilError, ROWS
 
 pytest.importorskip("hypothesis")
@@ -75,7 +77,7 @@ def test_relation_matrix_and_h1_at_large_b(m):
 def outcome(check, *args):
     try:
         check(*args)
-    except NilError as err:
+    except (NilError, AssertionError) as err:
         return type(err), str(err)
     return None
 
@@ -94,11 +96,11 @@ def assignments(n):
 
 def disagreements(check):
     """(m, bits, got, expected) wherever check(m, bits) and
-    check_epimorphism on m's presentation differ, at both parities of b of
-    every row."""
+    check_epimorphism on m's presentation differ, at two small and two
+    large b of either parity of every row."""
     found = []
     for (family, betas), row in ROWS.items():
-        for b in (row.b_min, row.b_min + 1):
+        for b in (row.b_min, row.b_min + 1, FAR, FAR + 1):
             m = NilManifold(family, b, betas)
             pres = fundamental_group.__wrapped__(m)
             for bits in assignments(len(pres.generators)):
@@ -110,21 +112,21 @@ def disagreements(check):
 
 
 def test_character_check_matches_the_presentation():
-    assert len(presentation._PARITIES) == len(ROWS) == 15
     assert disagreements(check_character) == []
 
 
 def test_kernel_keys_are_the_accepted_characters():
     # cover M --phi looks a checked character up in coverings._KERNEL, so
-    # a bit tuple is a key exactly when it is a character at either parity
+    # a bit tuple is a key exactly when it is a character at either parity;
+    # the characters come from the presentations, not from _MOD2, which
+    # keys the table
     accepted = set()
     for (family, betas), row in ROWS.items():
-        names = presentation._ROW_PARTS[family, betas][0]
-        for bits in product((0, 1), repeat=len(names)):
-            if any(outcome(check_character, NilManifold(family, b, betas),
-                           bits) is None
-                   for b in (row.b_min, row.b_min + 1)):
-                accepted.add((family, betas, bits))
+        for b in (row.b_min, row.b_min + 1):
+            pres = fundamental_group.__wrapped__(NilManifold(family, b, betas))
+            for bits in product((0, 1), repeat=len(pres.generators)):
+                if outcome(check_epimorphism, pres, bits) is None:
+                    accepted.add((family, betas, bits))
     assert set(coverings._KERNEL) == accepted
 
 
@@ -135,14 +137,23 @@ def test_character_check_names_the_odd_relator():
 
 
 def test_a_check_blind_to_the_parity_of_b_is_caught():
-    line = "    section ^= (m.b & 1) << (n - 1)\n"
     source = inspect.getsource(check_character)
-    assert line in source
-    namespace = dict(vars(presentation))
-    exec(source.replace(line, ""), namespace)
+    assert source.count("m.b % 2") == 1
+    namespace = dict(vars(epimorphisms))
+    exec(source.replace("m.b % 2", "0"), namespace)
     found = disagreements(namespace["check_character"])
     assert found
     assert all(m.b % 2 for m, _, _, _ in found)
+
+
+def test_a_table_missing_an_epimorphism_is_caught(monkeypatch):
+    m = NilManifold("T", 3)
+    key = m.family, m.betas, m.b % 2
+    epis, orbits = epimorphisms._MOD2[key]
+    monkeypatch.setitem(epimorphisms._MOD2, key, (epis[1:], orbits))
+    Z2Char(m, epis[1])
+    with pytest.raises(AssertionError, match="misses the epimorphism"):
+        Z2Char(m, epis[0])
 
 
 def test_a_sweep_builds_no_presentation(monkeypatch):
