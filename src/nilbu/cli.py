@@ -4,6 +4,10 @@ Subcommands: classify, h1, epis, cover, index, involutions, table, verify.
 Output is text by default, JSON with --format json; both are stable across
 runs.  Exit codes: 0 success, 1 invalid input (or stdout closed before the
 output was written), 2 verification mismatch.
+
+main builds its argparse parser on the first call and reuses it; each call
+parses its argv in one argparse pass.  JSON comes from _json, a direct
+writer whose bytes equal json.dumps(obj, indent=2).
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import json
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .bu_index import index_report, z2_index
 from .coverings import (CoveringDescriptor, double_cover, quotients_of,
@@ -46,9 +51,39 @@ def _group_text(g: AbelianGroup) -> str:
     return " + ".join(parts) if parts else "0"
 
 
+def _json(obj, pad="\n") -> str:
+    """The bytes of json.dumps(obj, indent=2), for the types the CLI emits.
+
+    json.dumps with an indent runs json's pure-Python encoder; this writer
+    quotes strings with its C function (where json was built with one).
+    Dispatch is on the exact type, and a key that is not a string fails in
+    _quote, so any other object raises TypeError.
+    """
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool or obj is None:
+        return "true" if obj is True else "false" if obj is False else "null"
+    inner = pad + "  "
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        parts = [_json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(parts) + pad + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        parts = [_quote(k) + ": " + _json(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(parts) + pad + "}"
+    raise TypeError("Object of type %s is not JSON serializable"
+                    % kind.__name__)
+
+
 def _emit(args, lines, obj) -> None:
     if args.format == "json":
-        print(json.dumps(obj, indent=2))
+        print(_json(obj))
     else:
         for line in lines:
             print(line)
@@ -297,6 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-max", type=_decimal, default=16,
                    help="sweep b_min..b_min+k per family (default 16)")
     p.set_defaults(func=cmd_verify)
+    parser.commands = sub.choices  # name -> subparser, for main's one pass
     return parser
 
 
@@ -310,7 +346,15 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # no command, help, or a command argparse rejects
+        args = parser.parse_args(argv)
+    else:
+        # what parse_args does with a command, without scanning argv twice
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error("unrecognized arguments: %s" % " ".join(extra))
     if getattr(args, "b_max", 0) < 0:
         parser.error("argument --b-max: must be >= 0, got %d" % args.b_max)
     try:

@@ -9,6 +9,7 @@ import pytest
 import nilbu.coverings
 from nilbu import cli
 from nilbu.cli import main
+from nilbu.seifert import NilError
 
 
 def run(capsys, *argv):
@@ -326,6 +327,59 @@ def test_reused_parser_leaks_no_state(capsys):
         assert _outcome(capsys, argv)[0] == code, argv
     assert _outcome(capsys, query) == first
     assert _outcome(capsys, text_query) == first_text
+
+
+# argv that take argparse's edge paths: help, leftovers, "--", abbreviated
+# and "=" options, repeated and missing values, unknown or misspelt commands
+EDGE_ARGVS = [
+    [], ["-h"], ["--help"], ["--he"], ["h1", "-h"], ["cover", "--help"],
+    ["h1"], ["h1", "T(1)", "extra"], ["h1", "T(1)", "extra", "more"],
+    ["h1", "T(1)", "--phi", "0"], ["h1", "T(1)", "--bogus"],
+    ["h1", "T(1)", "-x"], ["h1", "T(1)", "extra", "--format", "json"],
+    ["--", "h1", "T(1)"], ["h1", "--", "T(1)"], ["h1", "T(1)", "--"],
+    ["h1", "T(1)", "--", "--format", "json"], ["h1", "--", "--", "T(1)"],
+    ["h1", "T(1)", "--form", "json"], ["h1", "T(1)", "--format=json"],
+    ["h1", "T(1)", "--format", "xml"], ["h1", "T(1)", "--format"],
+    ["--format", "json", "h1", "T(1)"], ["h1", "-5"],
+    ["cover", "22(0)", "--phi", "0", "--phi", "1"],
+    ["cover", "22(0)", "--phi=1", "--format", "json"],
+    ["cover", "22(0)", "--phi"], ["cover", "22(0)"],
+    ["verify", "--b-max"], ["table", "--b-max", "0", "extra"],
+    ["verify", "--b-max", "1", "--b-max", "0", "--format", "json"],
+    ["frobnicate"], ["H1", "T(1)"], ["h", "T(1)"], ["h1 ", "T(1)"],
+    ["h1", "T(1)", "--phi", "1\n0"], ["h1", "T(\x01)"], ["h\x1b1", "T(1)"],
+    ["classify", "T(1)", "\r"], ["epis", "22(0)", "-h", "x"],
+]
+
+
+def _reference(capsys, argv):
+    # the whole argv through the top parser, as main parses any argv that
+    # does not start with a command name
+    try:
+        args = cli._parser().parse_args(argv)
+        code = args.func(args)
+    except SystemExit as exc:
+        code = exc.code
+    except NilError as err:
+        print("error: %s" % err, file=sys.stderr)
+        code = 1
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", EDGE_ARGVS)
+def test_dispatch_matches_parse_args(capsys, argv):
+    assert _outcome(capsys, argv) == _reference(capsys, argv)
+
+
+def test_dispatch_takes_any_iterable_and_sys_argv(capsys, monkeypatch):
+    for argv in (["h1", "T(1)", "--format", "json"], ["h1", "T(1)", "x"],
+                 ["-h"], []):
+        expected = _reference(capsys, argv)
+        assert _outcome(capsys, tuple(argv)) == expected, argv
+        assert _outcome(capsys, iter(argv)) == expected, argv
+        monkeypatch.setattr(sys, "argv", ["nilbu", *argv])
+        assert _outcome(capsys, None) == expected, argv
 
 
 def test_parser_is_built_once(monkeypatch, capsys):
