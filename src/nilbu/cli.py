@@ -222,13 +222,12 @@ def cmd_involutions(args) -> int:
         obj["note"] = note
     else:
         lines.append("free involutions: %d" % len(quotients))
-        base_w = max(len(d.base.encode()) for d in quotients)
-        phi_w = max(len(d.phi.describe()) for d in quotients)
+        rows = [(d.base.encode(), d.phi.describe(), d.index) for d in quotients]
+        base_w = max(len(base) for base, _, _ in rows)
+        phi_w = max(len(phi) for _, phi, _ in rows)
         lines.append("  %-*s  %-*s  index" % (base_w, "base", phi_w, "phi"))
-        for d in quotients:
-            lines.append("  %-*s  %-*s  %d"
-                         % (base_w, d.base.encode(), phi_w, d.phi.describe(),
-                            d.index))
+        for base, phi, index in rows:
+            lines.append("  %-*s  %-*s  %d" % (base_w, base, phi_w, phi, index))
     _emit(args, lines, obj)
     return 0
 

@@ -12,15 +12,15 @@ own cross-multiplication of (c, lcm), which cd_invariants reads off the
 Seifert invariants, not the family rows.
 Only the section relator sees b, so _KERNEL holds every other relator's
 rows diagonalized once, at import, and kernel_rows finishes a kernel from
-them and the section relator's two rows.  quotients_of inverts
-double_cover over the finitely many candidate bases, which reproduces the
-known involution diagrams.
+them and the section relator's two rows.
 
-The search is cut by two exact rules before double_cover decides.  A base
-row must have lcm(a_i) equal to l_m or 2 l_m, since the preimages of a fibre
-of order a have order a or a/2; and a class is tried only with the phi(h)
-for which its base's b was solved, since e(cover) = 2^(1 - 2 phi(h)) e(base)
-fixes phi(h) once e(base) and e(cover) are known.
+quotients_of inverts double_cover by a table, which reproduces the known
+involution diagrams.  A family row's class representatives depend only on
+b mod 2, and each branch of double_cover reads b only as 2b + const or, at
+a fixed parity, (b + const) // 2.  So a source row, a parity and a class
+representative's bits fix one target row, and the base b = b0 + 2k covers
+b' = b0' + step k there, b0 the least b of that parity.  _RULES holds these
+42 rules by target row, read off double_cover once, at import.
 """
 
 from __future__ import annotations
@@ -233,42 +233,53 @@ def verify_cover(phi: Z2Char, claimed: NilManifold) -> bool:
             and 2 ** phi.h * c * l_m == 2 ** (1 - phi.h) * c_m * l)
 
 
+def _rule_table() -> dict:
+    """double_cover as affine rules, keyed by the cover's (family, betas).
+
+    For each family row, each b0 of b_min and b_min + 1 and each class
+    representative's bits at that parity, the rule is (family, betas, b0,
+    bits, b0', step): the base (family, b0 + 2k, betas) covers through bits
+    the target row at b0' + step k, for every k >= 0.  The two covers at
+    k = 0 and 1 fix b0' and step, and the covers at k = 5, 17 and 1000 are
+    asserted to lie on that line.
+    """
+    ks = (0, 1, 5, 17, 1000)
+    table: dict = {}
+    for (family, betas), row in ROWS.items():
+        for b0 in (row.b_min, row.b_min + 1):
+            for bits in class_representatives(NilManifold(family, b0, betas)):
+                covers = [double_cover(Z2Char(
+                    NilManifold(family, b0 + 2 * k, betas), bits)) for k in ks]
+                first, step = covers[0].b, covers[1].b - covers[0].b
+                target = covers[0].family, covers[0].betas
+                for cover, k in zip(covers, ks):
+                    assert (cover.family, cover.betas, cover.b) \
+                        == target + (first + step * k,), (family, betas, bits)
+                table.setdefault(target, []).append(
+                    (family, betas, b0, bits, first, step))
+    return {target: tuple(rules) for target, rules in table.items()}
+
+
+# (family, betas) of a cover -> the _rule_table rules that land on its row;
+# static like _KERNEL (42 rules over 9 target rows)
+_RULES = _rule_table()
+
+
 def quotients_of(m: NilManifold) -> tuple[CoveringDescriptor, ...]:
     """All free involutions on m: (base, class, index) with cover m.
 
-    A base n covered through phi with phi(h) = h satisfies e(n) = 4^h e(m) / 2:
-    in each family row b*lcm + c0 = 4^h c_m lcm / (2 l_m) for an integer
-    b >= b_min.  Two exact rules cut the search before double_cover decides:
-
-      * fibre orders: an exceptional fibre of order a has preimages of order a
-        or a/2, so the odd part of lcm(a_i) is kept and its 2-part falls by at
-        most one factor of 2; rows with lcm other than l_m or 2 l_m are skipped
-        before any base is built;
-      * fibre bit: double_cover scales e by 2^(1 - 2 phi(h)), and b was solved
-        for phi(h) = h, so a class with the other h-bit covers a manifold of
-        another Euler number and is not tried.
-
-    Each remaining class is built only as its representative, the least
-    member, checked as a Z2Char of the base, and goes through double_cover.
-    Sorted by base encoding.
+    Each rule of _RULES for m's row covers m from the base at k =
+    (m.b - b0') / step when that is a whole number k >= 0.  The base's
+    class representative is checked as a Z2Char and its index computed;
+    no double_cover runs.  Sorted by base encoding.
     """
-    c_m, l_m = m.c, m.row.lcm
     found = []
-    for (family, betas), row in ROWS.items():
-        if row.lcm not in (l_m, 2 * l_m):
+    for family, betas, b0, bits, first, step in _RULES.get(
+            (m.family, m.betas), ()):
+        k, rem = divmod(m.b - first, step)
+        if rem or k < 0:
             continue
-        for h in (0, 1):
-            b_cand, rem = divmod(4 ** h * c_m * row.lcm - 2 * l_m * row.c0,
-                                 2 * l_m * row.lcm)
-            if rem or b_cand < row.b_min:
-                continue
-            base = NilManifold(family, b_cand, betas)
-            for bits in class_representatives(base):
-                if bits[-1] != h:
-                    continue
-                rep = Z2Char(base, bits)
-                if double_cover(rep) == m:
-                    found.append(CoveringDescriptor(
-                        rep, m, bu_index.z2_index(rep)))
+        rep = Z2Char(NilManifold(family, b0 + 2 * k, betas), bits)
+        found.append(CoveringDescriptor(rep, m, bu_index.z2_index(rep)))
     found.sort(key=lambda d: (d.base.encode(), d.phi.bits))
     return tuple(found)

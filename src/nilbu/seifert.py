@@ -35,7 +35,8 @@ what the base orbifold looks like:
     333     +1   0   3, 3, 3         b1 <= b2 <= b3 in {1,2}
 
 Within each family b ranges over the integers with e > 0, i.e. b >= b_min.
-Everything is exact: c = e * lcm(a_i) and b_min are ints, e and chi Fractions.
+Everything is exact: c = e * lcm(a_i) and b_min are ints, e and chi Fractions;
+is_nil and classify decide on the ints.
 """
 
 from __future__ import annotations
@@ -210,8 +211,14 @@ def b_min(pairs) -> int:
 
 
 def is_nil(inv: SeifertInvariant) -> bool:
-    """True iff the Seifert fibration carries Nil geometry (chi = 0, e != 0)."""
-    return orbifold_euler_char(inv) == 0 and euler_number(inv) != 0
+    """True iff the Seifert fibration carries Nil geometry (chi = 0, e != 0).
+
+    Decided on integers: with L = lcm(a_i), chi L = (2 - g') L - sum (L -
+    L/a_i) and e L = c of cd_invariants.
+    """
+    c, _, lcm = cd_invariants(inv)
+    return c != 0 and (2 - inv.g_prime) * lcm == sum(
+        lcm - lcm // a for a, _ in inv.pairs)
 
 
 def reverse_orientation(inv: SeifertInvariant) -> SeifertInvariant:
@@ -330,7 +337,7 @@ def classify(inv: SeifertInvariant) -> NilManifold:
         except ValueError:  # more digits than str() converts
             text = "chi or e too wide to print"
         raise NotNil("not Nil geometry: " + text)
-    if euler_number(inv) < 0:
+    if cd_invariants(inv)[0] < 0:  # e = c / lcm(a_i)
         raise OrientationError(
             "e = %s < 0; classify(reverse_orientation(inv)) names the mirror"
             % (euler_number(inv),))

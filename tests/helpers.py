@@ -8,7 +8,7 @@ reference also rewrites over any phi = 1 transversal, which nilbu does not;
 kernel_presentation turns such a rewriting back into syllable words.
 equivalence_classes is the reference for the orbit closure over bit tuples:
 it closes orbits of checked characters through apply_move.  quotients_of is
-the reference for the pruned search of nilbu.quotients_of: it tries every
+the reference for the rule table of nilbu.quotients_of: it tries every
 class of every candidate base that the Euler number allows.  epi_bits is the
 reference for the integer-mask enumeration of enumerate_epis: it tries every
 bit tuple through odd_relator.  standard_presentation is the reference for

@@ -1,9 +1,9 @@
 """Property tests for the integer Euler invariant c = e * lcm(a_i).
 
 cd_invariants computes c in integers, and quotients_of solves for the base's
-b with one integer division per family row; both are checked here beyond the
-fixed sweep, against the Fraction Euler number and the transcribed
-involution diagrams.
+b with one integer division per rule of the cover's row; both are checked
+here beyond the fixed sweep, against the Fraction Euler number and the
+transcribed involution diagrams.
 """
 
 import math

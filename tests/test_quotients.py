@@ -1,17 +1,21 @@
-"""The pruned search of quotients_of against the exhaustive reference.
+"""The rule table of quotients_of against the exhaustive reference.
 
 helpers.quotients_of tries every class of every base that the Euler number
-allows.  nilbu's quotients_of skips family rows by lcm(a_i) and classes by
-their h-bit, and builds only each class's representative; both must find
-the same descriptors (base, phi bits, index), and the pruned search may only
-try candidates that obey both rules.
+allows and sends each through double_cover.  nilbu's quotients_of reads
+coverings._RULES, double_cover inverted once at import into 42 affine rules
+keyed by the cover's row, and solves one divmod per rule.  Both must find the
+same descriptors (base, phi bits, cover, index); no double_cover and no
+class_representatives runs after import; and a rule with its b0' or its step
+moved by one is caught by the reference comparison.
 """
+
+from collections import Counter
 
 import pytest
 
 import helpers
 from nilbu import (NilManifold, coverings, enumerate_epis, equivalence_classes,
-                   euler_number, quotients_of, sweep)
+                   quotients_of, sweep)
 from nilbu.seifert import ROWS
 
 pytest.importorskip("hypothesis")
@@ -22,10 +26,13 @@ def _descriptors(found):
     return [(d.base, d.phi.bits, d.cover, d.index) for d in found]
 
 
+def _mismatches(manifolds):
+    return [m for m in manifolds if _descriptors(quotients_of(m))
+            != _descriptors(helpers.quotients_of(m))]
+
+
 def test_pruned_search_matches_reference():
-    for m in sweep(64):
-        assert _descriptors(quotients_of(m)) == \
-            _descriptors(helpers.quotients_of(m)), m
+    assert _mismatches(sweep(256)) == []
 
 
 @st.composite
@@ -46,37 +53,54 @@ def large_covers(draw):
     return coverings.double_cover(rep)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)  # examples from the profile: 1000 under ci
 @given(st.one_of(large_manifolds(), large_covers()))
 def test_pruned_search_matches_reference_at_large_b(m):
     assert _descriptors(quotients_of(m)) == _descriptors(helpers.quotients_of(m))
 
 
-def test_search_tries_only_candidates_that_obey_both_rules(monkeypatch):
-    bases, covers = [], []
-    representatives_of = coverings.class_representatives
-    cover_of = coverings.double_cover
+def test_no_double_cover_runs_after_import(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("called after import")
 
-    def recording_representatives(base):
-        bases.append(base)
-        return representatives_of(base)
+    expected = [_descriptors(quotients_of(m)) for m in sweep(16)]
+    monkeypatch.setattr(coverings, "double_cover", refuse)
+    monkeypatch.setattr(coverings, "class_representatives", refuse)
+    assert [_descriptors(quotients_of(m)) for m in sweep(16)] == expected
+    assert any(expected)
 
-    def recording_cover(phi):
-        cover = cover_of(phi)
-        covers.append(cover)
-        return cover
 
-    monkeypatch.setattr(coverings, "class_representatives",
-                        recording_representatives)
-    monkeypatch.setattr(coverings, "double_cover", recording_cover)
-    for m in sweep(16):
-        bases.clear()
-        covers.clear()
-        quotients_of(m)
-        lcm = m.row.lcm
-        assert all(n.row.lcm in (lcm, 2 * lcm) for n in bases), m
-        e = euler_number(m.seifert())
-        assert all(euler_number(c.seifert()) == e for c in covers), m
+def test_the_table_holds_42_rules():
+    rules = [rule for rules in coverings._RULES.values() for rule in rules]
+    assert len(rules) == 42
+    assert Counter(rule[0] for rule in rules) == {
+        "T": 3, "K": 5, "22": 4, "2222": 4, "236": 8, "244": 14, "333": 4}
+
+
+def _mutants():
+    # the table with one rule's b0' (field 4) or step (field 5) moved by one;
+    # a step of 0 is left out, since divmod by 0 raises at once
+    for target, rules in sorted(coverings._RULES.items()):
+        for i, rule in enumerate(rules):
+            for field in (4, 5):
+                for delta in (-1, 1):
+                    if field == 5 and rule[field] + delta == 0:
+                        continue
+                    mutant = list(rule)
+                    mutant[field] += delta
+                    yield target, {**coverings._RULES, target: (
+                        rules[:i] + (tuple(mutant),) + rules[i + 1:])}
+
+
+def test_a_rule_moved_by_one_is_caught(monkeypatch):
+    uncaught = []
+    for (family, betas), table in _mutants():
+        monkeypatch.setattr(coverings, "_RULES", table)
+        b_min = ROWS[family, betas].b_min
+        if not _mismatches(NilManifold(family, b, betas)
+                           for b in range(b_min, b_min + 17)):
+            uncaught.append(table[family, betas])
+    assert uncaught == []
 
 
 def test_search_builds_no_partition_and_no_epimorphism_list():

@@ -3,8 +3,8 @@
 Random loose data goes through normalize, classify and reverse_orientation,
 including the mirror path and the NotNil / OrientationError splits, and both
 encodings must parse back to what they encode, also with random whitespace
-between their tokens.  Whitespace inside a number is an error.  b_min,
-computed in integers, must agree with its rational definition.
+between their tokens.  Whitespace inside a number is an error.  b_min and
+is_nil, computed in integers, must agree with their rational definitions.
 """
 
 import math
@@ -15,8 +15,9 @@ import pytest
 
 from nilbu import (FAMILIES, InvariantError, NilManifold, NotNil,
                    OrientationError, ParseError, b_min, classify,
-                   euler_number, normalize, orbifold_euler_char, parse_family,
-                   parse_manifold, parse_seifert, reverse_orientation)
+                   euler_number, is_nil, normalize, orbifold_euler_char,
+                   parse_family, parse_manifold, parse_seifert,
+                   reverse_orientation)
 from nilbu.seifert import ROWS
 
 pytest.importorskip("hypothesis")
@@ -62,6 +63,35 @@ def test_b_min_is_the_least_b_with_positive_e(pairs):
     # the integer b_min against the rational definition, no pairs included
     assert b_min(pairs) == -math.ceil(sum(Fraction(beta, a)
                                           for a, beta in pairs)) + 1
+
+
+def _coprime_pair(a):
+    return st.integers(-3 * a, 3 * a).filter(
+        lambda beta: math.gcd(a, beta) == 1).map(lambda beta: (a, beta))
+
+
+@st.composite
+def coprime_invariants(draw):
+    # a family's shape or any other, coprime pairs and any b: Nil, its
+    # mirror, e = 0 and chi != 0
+    if draw(st.booleans()):
+        eps, g, orders = draw(st.sampled_from(SHAPES))
+    else:
+        eps = draw(st.sampled_from((+1, -1)))
+        g = draw(st.integers(1 if eps == -1 else 0, 3))
+        orders = draw(st.lists(st.integers(1, 7), max_size=5))
+    pairs = [draw(_coprime_pair(a)) for a in orders]
+    b = draw(st.integers(-12, 12) | st.integers(-10 ** 12, 10 ** 12))
+    return normalize(b, eps, g, pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coprime_invariants())
+def test_is_nil_matches_its_rational_definition(inv):
+    for this in (inv, reverse_orientation(inv)):
+        chi = 2 - this.g_prime - sum(1 - Fraction(1, a) for a, _ in this.pairs)
+        e = this.b + sum(Fraction(beta, a) for a, beta in this.pairs)
+        assert is_nil(this) == (chi == 0 and e != 0), this
 
 
 @settings(max_examples=120, deadline=None)
