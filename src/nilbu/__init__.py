@@ -20,7 +20,7 @@ from .presentation import (FinitePresentation, NotAHomomorphism, NotSurjective,
                            free_reduce, fundamental_group,
                            reidemeister_schreier)
 from .homology import (AbelianGroup, abelianization, h1, mod2_rank,
-                       smith_normal_form, torsion_subgroup_killed_by)
+                       smith_normal_form)
 from .epimorphisms import (ConeSlide, ConeSwap, EpiClass, EpiClassPartition,
                            FiberFlip, InvalidCharacter, KleinSwap,
                            MoveNotApplicable, TorusShear, Z2Char, apply_move,
@@ -52,7 +52,6 @@ __all__ = [
     "index_three_case", "is_nil", "mod2_rank", "normalize",
     "orbifold_euler_char", "parse_family", "parse_manifold", "parse_seifert",
     "quotients_of", "reidemeister_schreier", "reverse_orientation",
-    "smith_normal_form", "sweep", "torsion_subgroup_killed_by",
-    "validate_char", "verify_cover", "verify_manifold", "verify_sweep",
-    "z2_index",
+    "smith_normal_form", "sweep", "validate_char", "verify_cover",
+    "verify_manifold", "verify_sweep", "z2_index",
 ]

@@ -5,7 +5,8 @@ double cover.  The index is 1, 2 or 3:
 
   * index 1 iff phi factors through the free quotient of H1 (equivalently,
     phi kills the torsion subgroup), which is when the classifying map
-    compresses to a circle;
+    compresses to a circle; homology.kills_torsion reads that from the
+    row's table _H1, O(1) in b, with no Smith form of H1;
   * index 3 iff the cup cube of the class phi in H^1(m; Z2) is nonzero,
     which in terms of the invariants (c, d) reads: d = 0 requires phi(h) = 1
     and c = 2 mod 4 (orientable base) or c + 2g' = 2 mod 4 (non-orientable);
@@ -20,14 +21,14 @@ index_report also prints the case of the paper's catalog that matches.
 from __future__ import annotations
 
 from .epimorphisms import Z2Char
-from .homology import h1, torsion_subgroup_killed_by
+from .homology import kills_torsion
 from .paper import index_one_case, index_three_case
 from .seifert import FAMILIES
 
 
 def index_is_one(phi: Z2Char) -> bool:
     """True iff the pair has Z2-index 1: phi kills the torsion of H1."""
-    return torsion_subgroup_killed_by(phi.bits, h1(phi.manifold))
+    return kills_torsion(phi.manifold, phi.bits)
 
 
 def cup_cube_nonzero(phi: Z2Char) -> bool:

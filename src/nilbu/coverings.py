@@ -7,7 +7,8 @@ rows.  verify_cover, the independent oracle, rewrites the fundamental group
 straight into the exponent-sum rows of the index-2 subgroup with _rewrite
 (Reidemeister-Schreier, Lyndon and Schupp, Combinatorial Group Theory,
 II.4, with no kernel presentation built), compares the rows' invariant
-factors with H1 of the claimed cover and checks the Euler relation by its
+factors with H1 of the claimed cover, read from homology's per-row table
+by h1_invariants (no Smith loop runs), and checks the Euler relation by its
 own cross-multiplication of (c, lcm), which cd_invariants reads off the
 Seifert invariants, not the family rows.
 Only the section relator sees b, so _KERNEL holds every other relator's
@@ -27,7 +28,8 @@ from __future__ import annotations
 
 from . import bu_index
 from .epimorphisms import _MOD2, Z2Char, class_representatives
-from .homology import diagonalize, h1, row_invariants
+from .homology import (_add, _replay, diagonalize, h1_invariants,
+                       row_invariants)
 from .presentation import _ROW_PARTS
 from .seifert import ROWS, NilManifold, Record, cd_invariants
 
@@ -96,14 +98,6 @@ def double_cover(phi: Z2Char) -> NilManifold:
     assert 2 ** phi.h * cover.c * m.row.lcm \
         == 2 ** (1 - phi.h) * m.c * cover.row.lcm
     return cover
-
-
-def _add(row: dict, gen: int, exp: int) -> None:
-    exp += row.get(gen, 0)
-    if exp:
-        row[gen] = exp
-    else:
-        row.pop(gen, None)
 
 
 def _halves(k: int) -> tuple[int, int]:
@@ -206,10 +200,7 @@ def kernel_rows(m: NilManifold, bits) -> tuple[list[dict], int]:
         row = dict(prefix)
         end = _rewrite(row, h_b, bits, t, end)
         assert end == start, "relator escaped its coset"
-        for k, q, g in ops:
-            x = row.get(g)
-            if x:
-                _add(row, k, -q * x)
+        _replay(row, ops)
         for g in units:
             row.pop(g, None)
         rows.append(row)
@@ -221,15 +212,16 @@ def verify_cover(phi: Z2Char, claimed: NilManifold) -> bool:
 
     Rewrites pi_1(phi.manifold) into the exponent-sum rows of ker(phi)
     (kernel_rows), reduces them to invariant factors and compares those with
-    h1(claimed); also checks the Euler number relation by its own arithmetic
-    on the Seifert invariants' (c, lcm), not double_cover's.  True iff both
-    hold.
+    h1_invariants(claimed), H1 of the claimed cover from its row's entry in
+    homology._H1, with no Smith loop; also checks the Euler number relation
+    by its own arithmetic on the Seifert invariants' (c, lcm), not
+    double_cover's.  True iff both hold.
     """
     m = phi.manifold
     c_m, _, l_m = cd_invariants(m.seifert())
     c, _, l = cd_invariants(claimed.seifert())
     return (row_invariants(*kernel_rows(m, phi.bits))
-            == h1(claimed).decomposition
+            == h1_invariants(claimed)
             and 2 ** phi.h * c * l_m == 2 ** (1 - phi.h) * c_m * l)
 
 

@@ -3,23 +3,27 @@
 Matrices are plain lists of lists of Python ints, so arithmetic is exact and
 unbounded (no overflow to report, ever).  The Smith normal form returns the
 unimodular transforms, which the abelianization uses to express generator
-images in the invariant-factor basis for the epimorphism counts and the
-index-1 torsion test (a mod-2 span test on integer masks); abelianization
-and h1 are the callers of the Smith loop.  pi_1 sees b only through the
-syllable h^-b, so h1 builds no presentation: _RELATIONS holds each family
-row's relation matrix at b = 0, built at import from presentation's
-_ROW_PARTS, and relation_matrix subtracts b at the entry of h and the
-section relator, which gives the transposed exponent-sum matrix of
-fundamental_group(m) entry by entry.  The covering oracle compares
-invariant factors only, of sparse Reidemeister-Schreier rows with mostly
-unit entries, so row_invariants needs no transforms: diagonalize reduces
-the rows to a diagonal by row and column operations, pivoting on the least
-|entry|, a unit pivot being the case |p| = 1 that leaves at once (Havas,
-Holt and Rees, Recognizing badly presented Z-modules, Linear Algebra
-Appl. 192, 1993), and row_invariants turns the diagonal into the chain
-d_1 | d_2 | ... by pairwise gcd and lcm (Newman, Integral Matrices, 1972,
-ch. II).  diagonalize also returns its column operations, which the
-oracle's table keeps to finish each kernel's rows.
+images in the invariant-factor basis; abelianization and h1 are the callers
+of the Smith loop, and h1 serves what reads generator images (nilbu h1, the
+stated relations) and what runs once per manifold (nilbu table, verify's
+closed-form and mod-2 rank checks).  pi_1 sees b only through the syllable
+h^-b, so h1 builds no presentation: _RELATIONS holds each family row's
+relation matrix at b = 0, built at import from presentation's _ROW_PARTS,
+and relation_matrix subtracts b at the entry of h and the section relator,
+which gives the transposed exponent-sum matrix of fundamental_group(m)
+entry by entry.  Sparse rows of mostly unit entries need no transforms:
+diagonalize reduces them to a diagonal by row and column operations,
+pivoting on the least |entry|, a unit pivot being the case |p| = 1 that
+leaves at once (Havas, Holt and Rees, Recognizing badly presented
+Z-modules, Linear Algebra Appl. 192, 1993), and row_invariants turns the
+diagonal into the chain d_1 | d_2 | ... by pairwise gcd and lcm (Newman,
+Integral Matrices, 1972, ch. II).  diagonalize also returns its column
+operations, and two static tables keep them: coverings' kernel table, and
+_H1 here, each family row's fixed relators diagonalized once with the
+section relator's row replayed, so that it is affine in b.  The covering
+oracle reads H1 of a claimed cover from _H1 (h1_invariants), and the
+index-1 test whether phi kills the torsion of H1 (kills_torsion, O(1) in
+b); neither runs the Smith loop.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .presentation import (_ROW_PARTS, FinitePresentation, check_bits,
+from .presentation import (_BOUND, _ROW_PARTS, FinitePresentation,
                            exponent_matrix)
 from .seifert import InvariantError, NilManifold, Record
 
@@ -283,7 +287,7 @@ def relation_matrix(m: NilManifold) -> list[tuple[int, ...]]:
     return rows + [last[:-1] + (last[-1] - m.b,)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_BOUND)
 def h1(m: NilManifold) -> AbelianGroup:
     """First homology of the manifold: abelianization(fundamental_group(m)),
     from relation_matrix(m), with no presentation built."""
@@ -295,26 +299,111 @@ def mod2_rank(group: AbelianGroup) -> int:
     return group.free_rank + sum(1 for d in group.torsion if d % 2 == 0)
 
 
-def torsion_subgroup_killed_by(bits, group: AbelianGroup) -> bool:
-    """True iff the mod-2 functional phi vanishes on the torsion subgroup.
+def _add(row: dict, gen: int, exp: int) -> None:
+    """Add exp to a sparse row's entry at gen, keeping only nonzero entries."""
+    exp += row.get(gen, 0)
+    if exp:
+        row[gen] = exp
+    else:
+        row.pop(gen, None)
 
-    phi is given by its bits (the ints 0 and 1) in generator order, the
-    order of group.gen_images.  Killing torsion is the same as factoring
-    through the free quotient, i.e. phi lying in the GF(2) span of the free
-    coordinates of the generator images.  Each free coordinate, mod 2, is a
-    mask with bit j for generator j.  The masks are reduced to an XOR basis
-    in which no vector has the leading bit of one before it, so min(x, x ^ v)
-    clears v's leading bit from x for good; phi's mask must reduce to 0.
-    """
-    check_bits(bits, len(group.gen_images))
-    basis = []
-    for column in list(zip(*group.gen_images.values()))[:group.free_rank]:
-        x = sum((c % 2) << j for j, c in enumerate(column))
-        for v in basis:
-            x = min(x, x ^ v)
+
+def _replay(row: dict, ops) -> dict:
+    """row after the column operations (k, q, g), col_k -= q * col_g."""
+    for k, q, g in ops:
+        x = row.get(g)
         if x:
-            basis.append(x)
-    phi = sum(bit << j for j, bit in enumerate(bits))
-    for v in basis:
-        phi = min(phi, phi ^ v)
-    return phi == 0
+            _add(row, k, -q * x)
+    return row
+
+
+def _exponents(word) -> dict:
+    """The word's exponent sums, 0-based generator -> nonzero sum."""
+    row: dict = {}
+    for gen, exp in word:
+        _add(row, gen - 1, exp)
+    return row
+
+
+def _h1_table() -> dict:
+    """The b-free part of every family row's H1, reduced once.
+
+    For each row the fixed relators' exponent-sum rows go through
+    diagonalize, so that with C the product of its column operations they
+    become the pivots' one-entry rows.  The section relator's row times C is
+    u - b v, u and v the rows of its prefix and of h replayed here.  The entry
+    is the column count less the unit pivots, the other pivots as (column,
+    |pivot|), C^-1 mod 2 at each pivot column and at each other (free)
+    column as a mask over the generators, and u and v off the unit
+    columns.
+    """
+    table = {}
+    for key, (names, fixed, section, h) in _ROW_PARTS.items():
+        diag, ops = diagonalize([_exponents(word) for word in fixed])
+        inverse = [1 << j for j in range(len(names))]
+        for k, q, g in ops:  # C^-1 replays each operation as y_g += q y_k
+            if q & 1:
+                inverse[g] ^= inverse[k]
+        units = [g for g, d in diag.items() if d == 1]
+        u = _replay(_exponents(section), ops)
+        v = _replay({h - 1: 1}, ops)
+        for g in units:
+            u.pop(g, None)
+            v.pop(g, None)
+        table[key] = (len(names) - len(units),
+                      tuple((g, d) for g, d in diag.items() if d > 1),
+                      tuple(inverse[g] for g in diag),
+                      {j: x for j, x in enumerate(inverse) if j not in diag},
+                      u, v)
+    return table
+
+
+# (family, betas) -> _h1_table's entry; static like _RELATIONS
+_H1 = _h1_table()
+
+
+def h1_invariants(m: NilManifold) -> tuple[int, tuple[int, ...]]:
+    """h1(m).decomposition, from m's row's entry in _H1 with no Smith loop.
+
+    The section relator's row is u - b v in the reduced basis, O(1) in b.
+    With the pivots of at least 2 as one-entry rows it goes through
+    row_invariants; the unit pivots' columns are gone, since a unit pivot
+    row clears its column and adds only an invariant factor 1.
+    """
+    count, torsion, _, _, u, v = _H1[m.family, m.betas]
+    b = m.b
+    section = {k: x for k in u.keys() | v.keys()
+               if (x := u.get(k, 0) - b * v.get(k, 0))}
+    return row_invariants([{g: d} for g, d in torsion] + [section], count)
+
+
+def kills_torsion(m: NilManifold, bits) -> bool:
+    """True iff the mod-2 functional phi, bits in generator order (a
+    homomorphism of pi_1(m)), vanishes on the torsion of H1(m).
+
+    That is when phi is, mod 2, some psi in Hom(H1, Z), the integer kernel
+    of the relation matrix.  In the reduced basis of m's row's entry in
+    _H1, psi = C psi' with psi' 0 at every pivot column and a . psi' = 0 on
+    the free columns, a = u - b v there.  So y = C^-1 phi mod 2 must be 0
+    at every pivot column, and y's free part x must be a solution mod 2:
+    any x when a = 0, and else x . a / gcd(a) even, since a / gcd(a) is
+    primitive and its integer kernel reduces onto its kernel mod 2.  O(1)
+    in b.
+    """
+    _, _, pivots, free, u, v = _H1[m.family, m.betas]
+    phi = 0
+    for j, bit in enumerate(bits):
+        if bit:
+            phi |= 1 << j
+    for mask in pivots:
+        if (phi & mask).bit_count() & 1:
+            return False
+    b = m.b
+    g = 0
+    odd = 0  # x . a
+    for j, mask in free.items():
+        a = u.get(j, 0) - b * v.get(j, 0)
+        g = gcd(g, a)
+        if (phi & mask).bit_count() & 1:
+            odd += a
+    return not g or odd // g % 2 == 0

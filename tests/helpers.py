@@ -17,7 +17,9 @@ relator of pi_1 afresh for each manifold.  smith_normal_form is the
 reference for nilbu's tuned Smith loop: the same pivot rule and operation
 order through two combine closures, every column operation touching every
 row, so the two must return identical (S, U, V).  abelian_invariants adds a
-presentation's exponent sums up into sparse rows for row_invariants, and
+presentation's exponent sums up into sparse rows for row_invariants.
+torsion_subgroup_killed_by, a mod-2 span test on the free coordinates of
+Smith's generator images, is the reference for kills_torsion, and
 kernel_rows is the reference for the oracle's reduced kernel rows: the
 fixed relators' rows as coverings._kernel_parts rewrites them, with
 h^-b rewritten onto the section relator's two, none of them reduced.
@@ -33,6 +35,7 @@ from nilbu import (CoveringDescriptor, EpiClass, EpiClassPartition,
                    fundamental_group, z2_index)
 from nilbu import coverings, presentation
 from nilbu.homology import identity, row_invariants
+from nilbu.presentation import check_bits
 from nilbu.seifert import FAMILIES, ROWS
 
 
@@ -166,6 +169,32 @@ def abelian_invariants(pres) -> tuple:
         if row:
             rows.append(row)
     return row_invariants(rows, len(pres.generators))
+
+
+def torsion_subgroup_killed_by(bits, group) -> bool:
+    """True iff the mod-2 functional phi vanishes on the torsion subgroup.
+
+    The Smith reference for nilbu.kills_torsion.  phi is given by its bits
+    (the ints 0 and 1) in generator order, the order of group.gen_images.
+    Killing torsion is the same as factoring through the free quotient,
+    i.e. phi lying in the GF(2) span of the free coordinates of the
+    generator images.  Each free coordinate, mod 2, is a mask with bit j
+    for generator j.  The masks are reduced to an XOR basis in which no
+    vector has the leading bit of one before it, so min(x, x ^ v) clears
+    v's leading bit from x for good; phi's mask must reduce to 0.
+    """
+    check_bits(bits, len(group.gen_images))
+    basis = []
+    for column in list(zip(*group.gen_images.values()))[:group.free_rank]:
+        x = sum((c % 2) << j for j, c in enumerate(column))
+        for v in basis:
+            x = min(x, x ^ v)
+        if x:
+            basis.append(x)
+    phi = sum(bit << j for j, bit in enumerate(bits))
+    for v in basis:
+        phi = min(phi, phi ^ v)
+    return phi == 0
 
 
 def kernel_rows(m, bits) -> tuple:

@@ -21,16 +21,13 @@ this test makes it fail in tier-1 instead of in perfbench/selftest.py.
 * spans.CACHED names the four lru-cached functions, fundamental_group, h1,
   enumerate_epis and equivalence_classes, and cached_functions() and
   clear_caches() need their cache_clear; the tracer's wrapper reads
-  cache_info.  fundamental_group, enumerate_epis and equivalence_classes
-  are bounded at presentation._BOUND entries; h1 is the one unbounded
-  cache, because z2_index and the oracle read H1 of the same covers and
-  bases again across queries, and at that bound a warm query stream missed
-  4.3 times as often and ran 18% slower.  The static
-  tables built at import, presentation._ROW_PARTS, homology._RELATIONS,
-  epimorphisms._MOD2 and coverings._KERNEL, are no lru caches:
-  clear_caches() leaves them, as a fresh process has them.  Since h1 and
-  the character check read those tables, a sweep builds no presentation,
-  and fundamental_group's counts come from the test's own calls.
+  cache_info.  All four are bounded at presentation._BOUND entries.  The
+  static tables built at import, presentation._ROW_PARTS,
+  homology._RELATIONS, homology._H1, epimorphisms._MOD2 and
+  coverings._KERNEL, are no lru caches: clear_caches() leaves them, as a
+  fresh process has them.  Since h1 and the character check read those
+  tables, a sweep builds no presentation, and fundamental_group's counts
+  come from the test's own calls.
 * workloads.check_claim calls nilbu.index_one_case(m, phi) and
   nilbu.index_three_case(m, phi) with the pair (item 1 drops the m), and
   the other five transcriptions, all by the names that nilbu re-exports

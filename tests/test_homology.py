@@ -7,10 +7,10 @@ from nilbu import (AbelianGroup, FinitePresentation, InvariantError,
                    NilManifold, NotAHomomorphism, abelianization,
                    enumerate_epis,
                    fundamental_group, h1, h1_closed_form, h1_stated_relations,
-                   mod2_rank, smith_normal_form, torsion_subgroup_killed_by)
-from nilbu.homology import identity
+                   mod2_rank, smith_normal_form)
+from nilbu.homology import identity, kills_torsion
 
-from helpers import determinant, matmul
+from helpers import determinant, matmul, torsion_subgroup_killed_by
 
 
 def _random_matrix(rng):
@@ -173,6 +173,8 @@ def test_torsion_killing_detects_fibre_class():
     assert len(others) == 4
     assert not any(torsion_subgroup_killed_by(phi.bits, group)
                    for phi in others)
+    assert [kills_torsion(m, phi.bits) for phi in enumerate_epis(m)] \
+        == [phi.h == 0 for phi in enumerate_epis(m)]
     # bits in generator order (v1, v2, h), and only the ints 0 and 1
     assert torsion_subgroup_killed_by((1, 0, 0), group)
     for value in (3, True, 1.0, "1"):
