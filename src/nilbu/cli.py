@@ -1,9 +1,11 @@
 """Command line front end.
 
 Subcommands: classify, h1, epis, cover, index, involutions, table, verify.
-Output is text by default, JSON with --format json; both are stable across
-runs.  Exit codes: 0 success, 1 invalid input (or stdout closed before the
-output was written), 2 verification mismatch.
+Each cmd_* builds one JSON-shaped object and returns it with its exit code.
+--format json writes that object; the default text is its text_* renderer's
+lines, read from the object alone (and --b-max for verify).  Both are stable
+across runs.  Exit codes: 0 success, 1 invalid input (or stdout closed
+before the output was written), 2 verification mismatch.
 
 main builds its argparse parser on the first call and reuses it; each call
 parses its argv in one argparse pass.  JSON comes from _json, a direct
@@ -23,8 +25,9 @@ from json.encoder import encode_basestring_ascii as _quote
 from .bu_index import index_report, z2_index
 from .coverings import (CoveringDescriptor, double_cover, quotients_of,
                         verify_cover)
-from .epimorphisms import char_for, enumerate_epis, equivalence_classes
-from .homology import AbelianGroup, h1
+from .epimorphisms import (char_for, describe, enumerate_epis,
+                           equivalence_classes)
+from .homology import h1, h1_invariants
 from .seifert import (ROWS, NilError, NilManifold, ParseError, euler_number,
                       parse_manifold, sweep)
 from .verify import verify_sweep
@@ -41,14 +44,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
-def _group_text(g: AbelianGroup) -> str:
-    parts = []
-    if g.free_rank == 1:
-        parts.append("Z")
-    elif g.free_rank > 1:
-        parts.append("Z^%d" % g.free_rank)
-    parts.extend("Z_%d" % d for d in g.torsion)
-    return " + ".join(parts) if parts else "0"
+def _group_text(g: dict) -> str:
+    # H1 from its JSON's free_rank and torsion: Z^2 + Z_4, Z, or 0
+    rank = g["free_rank"]
+    parts = ["Z"] if rank == 1 else ["Z^%d" % rank] if rank else []
+    parts += ["Z_%d" % d for d in g["torsion"]]
+    return " + ".join(parts) or "0"
 
 
 def _json(obj, pad="\n") -> str:
@@ -81,12 +82,12 @@ def _json(obj, pad="\n") -> str:
                     % kind.__name__)
 
 
-def _emit(args, lines, obj) -> None:
-    if args.format == "json":
-        print(_json(obj))
-    else:
-        for line in lines:
-            print(line)
+def _run(args) -> int:
+    # the command's object, as JSON or as its renderer's text
+    code, obj = args.func(args)
+    print(_json(obj) if args.format == "json"
+          else "\n".join(args.text(obj, args)))
+    return code
 
 
 _DECIMAL_RE = re.compile(r"[+-]?[0-9]+")
@@ -132,149 +133,148 @@ def _parse_phi(m: NilManifold, text: str):
     return epis[idx]
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args):
     m = parse_manifold(args.manifold)
     inv = m.seifert()
-    e = euler_number(inv)
-    lines = [m.encode(),
-             "  seifert: %s" % inv.encode(),
-             "  e = %s" % e,
-             "  c = %d  d = %d  b_min = %d" % (m.c, m.row.d, m.row.b_min)]
-    obj = {"manifold": m.encode(), "seifert": inv.encode(),
-           "e": str(e), "c": m.c, "d": m.row.d, "b_min": m.row.b_min}
-    _emit(args, lines, obj)
-    return 0
+    return 0, {"manifold": m.encode(), "seifert": inv.encode(),
+               "e": str(euler_number(inv)), "c": m.c, "d": m.row.d,
+               "b_min": m.row.b_min}
 
 
-def cmd_h1(args) -> int:
+def text_classify(obj, args):
+    return [obj["manifold"], "  seifert: %(seifert)s" % obj,
+            "  e = %(e)s" % obj, "  c = %(c)d  d = %(d)d  b_min = %(b_min)d" % obj]
+
+
+def cmd_h1(args):
     m = parse_manifold(args.manifold)
-    g = h1(m)
-    lines = ["H1(%s) = %s" % (m.encode(), _group_text(g))]
-    for name, coords in g.gen_images.items():
-        lines.append("  %s -> (%s)" % (name, ", ".join(map(str, coords))))
-    obj = {"manifold": m.encode(), "h1": g.to_json_dict()}
-    _emit(args, lines, obj)
-    return 0
+    return 0, {"manifold": m.encode(), "h1": h1(m).to_json_dict()}
 
 
-def cmd_epis(args) -> int:
+def text_h1(obj, args):
+    g = obj["h1"]
+    return ["H1(%s) = %s" % (obj["manifold"], _group_text(g))] + [
+        "  %s -> (%s)" % (name, ", ".join(map(str, coords)))
+        for name, coords in g["gen_images"].items()]
+
+
+def cmd_epis(args):
     m = parse_manifold(args.manifold)
     epis = enumerate_epis(m)
     part = equivalence_classes(m)
     index_of = {phi.bits: i for i, phi in enumerate(epis)}
-    lines = ["%s: %d epimorphisms, %d classes"
-             % (m.encode(), len(epis), len(part.classes))]
-    for i, phi in enumerate(epis):
-        lines.append("  [%d] %s" % (i, phi.describe()))
-    classes_json = []
-    for k, cls in enumerate(part.classes):
-        members = [index_of[c.bits] for c in cls.members]
-        lines.append("  class %d (size %d): members %s"
-                     % (k, cls.size, members))
-        classes_json.append({"size": cls.size,
-                             "representative": cls.representative.to_json_dict(),
-                             "members": members})
-    obj = {"manifold": m.encode(), "count": len(epis),
-           "epimorphisms": [phi.to_json_dict() for phi in epis],
-           "classes": classes_json}
-    _emit(args, lines, obj)
-    return 0
+    return 0, {"manifold": m.encode(), "count": len(epis),
+               "epimorphisms": [phi.to_json_dict() for phi in epis],
+               "classes": [{"size": cls.size,
+                            "representative": cls.representative.to_json_dict(),
+                            "members": [index_of[c.bits] for c in cls.members]}
+                           for cls in part.classes]}
 
 
-def cmd_cover(args) -> int:
+def text_epis(obj, args):
+    classes = obj["classes"]
+    return (["%s: %d epimorphisms, %d classes"
+             % (obj["manifold"], obj["count"], len(classes))]
+            + ["  [%d] %s" % (i, describe(**phi))
+               for i, phi in enumerate(obj["epimorphisms"])]
+            + ["  class %d (size %d): members %s" % (k, cls["size"], cls["members"])
+               for k, cls in enumerate(classes)])
+
+
+def cmd_cover(args):
     m = parse_manifold(args.manifold)
     phi = _parse_phi(m, args.phi)
     cover = double_cover(phi)
     desc = CoveringDescriptor(phi, cover, z2_index(phi))
     checked = verify_cover(phi, cover)
-    lines = ["base:  %s" % m.encode(),
-             "phi:   %s" % phi.describe(),
-             "cover: %s" % cover.encode(),
-             "index: %d" % desc.index,
-             "oracle: %s" % ("ok" if checked else "MISMATCH")]
-    obj = dict(desc.to_json_dict(), verified=checked)
-    _emit(args, lines, obj)
-    return 0 if checked else 2
+    return 0 if checked else 2, dict(desc.to_json_dict(), verified=checked)
 
 
-def cmd_index(args) -> int:
+def text_cover(obj, args):
+    return ["base:  %(base)s" % obj, "phi:   %s" % describe(**obj["phi"]),
+            "cover: %(cover)s" % obj, "index: %(index)d" % obj,
+            "oracle: %s" % ("ok" if obj["verified"] else "MISMATCH")]
+
+
+def cmd_index(args):
     m = parse_manifold(args.manifold)
-    phi = _parse_phi(m, args.phi)
-    report = index_report(phi)
-    lines = ["index(%s, %s) = %d" % (m.encode(), phi.describe(), report["index"]),
-             "  kills torsion: %s" % ("yes" if report["kills_torsion"] else "no"),
-             "  cup cube nonzero: %s" % ("yes" if report["cup_cube_nonzero"] else "no")]
+    return 0, index_report(_parse_phi(m, args.phi))
+
+
+def text_index(report, args):
+    yes = {True: "yes", False: "no"}
+    lines = ["index(%s, %s) = %d" % (report["manifold"],
+                                     describe(**report["phi"]), report["index"]),
+             "  kills torsion: %s" % yes[report["kills_torsion"]],
+             "  cup cube nonzero: %s" % yes[report["cup_cube_nonzero"]]]
     if report["catalog"]:
-        lines.append("  catalog: %s" % report["catalog"])
-    _emit(args, lines, report)
-    return 0
+        lines.append("  catalog: %(catalog)s" % report)
+    return lines
 
 
-def cmd_involutions(args) -> int:
+def cmd_involutions(args):
     m = parse_manifold(args.manifold)
-    quotients = quotients_of(m)
     obj = {"cover": m.encode(),
-           "quotients": [d.to_json_dict() for d in quotients]}
-    lines = ["cover: %s" % m.encode()]
-    if not quotients:
-        note = "none: not a double cover of any manifold in this geometry"
-        lines.append("free involutions: %s" % note)
-        obj["note"] = note
-    else:
-        lines.append("free involutions: %d" % len(quotients))
-        rows = [(d.base.encode(), d.phi.describe(), d.index) for d in quotients]
-        base_w = max(len(base) for base, _, _ in rows)
-        phi_w = max(len(phi) for _, phi, _ in rows)
-        lines.append("  %-*s  %-*s  index" % (base_w, "base", phi_w, "phi"))
-        for base, phi, index in rows:
-            lines.append("  %-*s  %-*s  %d" % (base_w, base, phi_w, phi, index))
-    _emit(args, lines, obj)
-    return 0
+           "quotients": [d.to_json_dict() for d in quotients_of(m)]}
+    if not obj["quotients"]:
+        obj["note"] = "none: not a double cover of any manifold in this geometry"
+    return 0, obj
+
+
+def text_involutions(obj, args):
+    if "note" in obj:
+        return ["cover: %(cover)s" % obj, "free involutions: %(note)s" % obj]
+    rows = [(q["base"], describe(**q["phi"]), q["index"]) for q in obj["quotients"]]
+    base_w = max(len(base) for base, _, _ in rows)
+    phi_w = max(len(phi) for _, phi, _ in rows)
+    return ["cover: %(cover)s" % obj, "free involutions: %d" % len(rows)] + [
+        "  %-*s  %-*s  %s" % (base_w, base, phi_w, phi, index)
+        for base, phi, index in [("base", "phi", "index")] + rows]
 
 
 def _c_formula(slope: int, intercept: int) -> str:
     head = "b" if slope == 1 else "%db" % slope
-    if intercept:
-        return "%s%+d" % (head, intercept)
-    return head
+    return "%s%+d" % (head, intercept) if intercept else head
 
 
-def cmd_table(args) -> int:
-    rows_json = []
-    lines = ["%-12s  %-8s  %s  %s" % ("family", "c", "d", "b_min")]
-    for (family, betas), row in ROWS.items():
-        lo = row.b_min
-        pattern = NilManifold(family, lo, betas).encode().replace(
-            "(%d" % lo, "(b", 1)
-        lines.append("%-12s  %-8s  %d  %d"
-                     % (pattern, _c_formula(row.lcm, row.c0), row.d, lo))
-        rows_json.append({"family": family, "betas": list(betas),
-                          "c_slope": row.lcm, "c_intercept": row.c0,
-                          "d": row.d, "b_min": lo})
-    entries_json = []
-    lines.append("")
-    lines.append("%-12s  %-5s  %s  %-6s  %s" % ("manifold", "c", "d", "e", "h1"))
+def cmd_table(args):
+    rows = [{"family": family, "betas": list(betas), "c_slope": row.lcm,
+             "c_intercept": row.c0, "d": row.d, "b_min": row.b_min}
+            for (family, betas), row in ROWS.items()]
+    entries = []
     for m in sweep(args.b_max):
         e = euler_number(m.seifert())
-        g = h1(m)
-        lines.append("%-12s  %-5d  %d  %-6s  %s"
-                     % (m.encode(), m.c, m.row.d, e, _group_text(g)))
-        entries_json.append({"manifold": m.encode(), "c": m.c, "d": m.row.d,
-                             "e": str(e), "free_rank": g.free_rank,
-                             "torsion": list(g.torsion)})
-    _emit(args, lines, {"rows": rows_json, "entries": entries_json})
-    return 0
+        free_rank, torsion = h1_invariants(m)
+        entries.append({"manifold": m.encode(), "c": m.c, "d": m.row.d,
+                        "e": str(e), "free_rank": free_rank,
+                        "torsion": list(torsion)})
+    return 0, {"rows": rows, "entries": entries}
 
 
-def cmd_verify(args) -> int:
+def text_table(obj, args):
+    lines = ["%-12s  %-8s  %s  %s" % ("family", "c", "d", "b_min")]
+    for row in obj["rows"]:
+        betas = ";" + ",".join(map(str, row["betas"])) if row["betas"] else ""
+        lines.append("%-12s  %-8s  %d  %d" % (
+            "%s(b%s)" % (row["family"], betas),
+            _c_formula(row["c_slope"], row["c_intercept"]), row["d"], row["b_min"]))
+    lines += ["", "%-12s  %-5s  %s  %-6s  %s" % ("manifold", "c", "d", "e", "h1")]
+    return lines + ["%-12s  %-5d  %d  %-6s  %s" % (
+        e["manifold"], e["c"], e["d"], e["e"], _group_text(e)) for e in obj["entries"]]
+
+
+def cmd_verify(args):
     report = verify_sweep(args.b_max)
+    return 0 if report["ok"] else 2, report
+
+
+def text_verify(report, args):
+    # the report has no depth, so the depth is read from the argv
     failures = report["failures"]
-    lines = failures + [
+    return failures + [
         "verified %d manifolds, %d (manifold, phi) pairs, depth %d"
         % (report["manifolds"], report["pairs"], args.b_max),
         "FAILURES: %d" % len(failures) if failures else "OK"]
-    _emit(args, lines, report)
-    return 0 if report["ok"] else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,16 +289,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", parents=[common],
                        help="normalize and name a Seifert invariant")
     p.add_argument("manifold", help="SF(...) or family encoding")
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func=cmd_classify, text=text_classify)
 
     p = sub.add_parser("h1", parents=[common], help="first homology")
     p.add_argument("manifold")
-    p.set_defaults(func=cmd_h1)
+    p.set_defaults(func=cmd_h1, text=text_h1)
 
     p = sub.add_parser("epis", parents=[common],
                        help="Z2-epimorphisms and their equivalence classes")
     p.add_argument("manifold")
-    p.set_defaults(func=cmd_epis)
+    p.set_defaults(func=cmd_epis, text=text_epis)
 
     p = sub.add_parser("cover", parents=[common],
                        help="double cover cut out by an epimorphism")
@@ -306,31 +306,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", required=True,
                    help="epimorphism: index into epis order, or JSON "
                         "{\"s\":[...],\"v\":[...],\"h\":0|1}")
-    p.set_defaults(func=cmd_cover)
+    p.set_defaults(func=cmd_cover, text=text_cover)
 
     p = sub.add_parser("index", parents=[common],
                        help="Z2-index of (manifold, phi) with criterion trace")
     p.add_argument("manifold")
     p.add_argument("--phi", required=True)
-    p.set_defaults(func=cmd_index)
+    p.set_defaults(func=cmd_index, text=text_index)
 
     p = sub.add_parser("involutions", parents=[common],
                        help="all free involutions with this double cover")
     p.add_argument("manifold")
-    p.set_defaults(func=cmd_involutions)
+    p.set_defaults(func=cmd_involutions, text=text_involutions)
 
     p = sub.add_parser("table", parents=[common],
                        help="the family table: c, d, b_min, plus entries")
     p.add_argument("--b-max", type=_decimal, default=16,
                    help="entries run b_min..b_min+k per family (default 16)")
-    p.set_defaults(func=cmd_table)
+    p.set_defaults(func=cmd_table, text=text_table)
 
     p = sub.add_parser("verify", parents=[common],
                        help="full cross-check sweep (oracle, partitions, "
                             "indices, involution diagrams)")
     p.add_argument("--b-max", type=_decimal, default=16,
                    help="sweep b_min..b_min+k per family (default 16)")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, text=text_verify)
     parser.commands = sub.choices  # name -> subparser, for main's one pass
     return parser
 
@@ -357,7 +357,7 @@ def main(argv=None) -> int:
     if getattr(args, "b_max", 0) < 0:
         parser.error("argument --b-max: must be >= 0, got %d" % args.b_max)
     try:
-        code = args.func(args)
+        code = _run(args)
         sys.stdout.flush()
         return code
     except NilError as err:

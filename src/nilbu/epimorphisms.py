@@ -25,6 +25,13 @@ from .presentation import (_BOUND, check_bits, check_epimorphism,
 from .seifert import FAMILIES, ROWS, NilError, NilManifold, Record
 
 
+def describe(s, v, h) -> str:
+    """A character's bit groups as text, s=(1,0) v=() h=1: the one format
+    of Z2Char.describe and of the command line's text, read from its JSON."""
+    return "s=(%s) v=(%s) h=%d" % (",".join(map(str, s)),
+                                   ",".join(map(str, v)), h)
+
+
 class MoveNotApplicable(NilError):
     """The move's hypotheses fail for this character/family."""
 
@@ -71,8 +78,7 @@ class Z2Char(Record):
         return {"s": list(self.s), "v": list(self.v), "h": self.h}
 
     def describe(self) -> str:
-        return "s=(%s) v=(%s) h=%d" % (",".join(map(str, self.s)),
-                                       ",".join(map(str, self.v)), self.h)
+        return describe(self.s, self.v, self.h)
 
     def with_bits(self, bits) -> "Z2Char":
         return Z2Char(self.manifold, tuple(bits))

@@ -179,8 +179,8 @@ _ROW_PARTS = {key: _row_parts(key[0], row.pairs) for key, row in ROWS.items()}
 
 # entries of each bounded lru cache: from cleared caches a verify visit or a
 # CLI query fills at most 1 entry of each (fundamental_group only for a
-# rejected JSON --phi), nilbu table aside, which reads each of its h1
-# entries once; so no entry is evicted within one before it is read again
+# rejected JSON --phi); so no entry is evicted within one before it is read
+# again
 _BOUND = 32
 
 

@@ -12,8 +12,8 @@ in for a manifold's presentation in homology, built at import from the same
 relators with one entry per family row, 15 in all: _RELATIONS, H1's
 relation matrix at b = 0, and _H1, its fixed rows diagonalized.  h1 is
 bounded too: the oracle and z2_index read H1 of covers and bases from _H1,
-so only verify's own check of a manifold, nilbu h1 and nilbu table run h1,
-and none reads an entry again within a query; unbounded, h1 held all of a
+so only verify's own check of a manifold and nilbu h1 run h1, and none
+reads an entry again within a query; unbounded, h1 held all of a
 depth-1024 verify's growth (peak RSS 34.4 MB, against 16.0 MB bounded).
 Outside the caches, the memory that a sweep holds while it runs and frees
 by its return does not grow with depth either.

@@ -354,10 +354,11 @@ EDGE_ARGVS = [
 
 def _reference(capsys, argv):
     # the whole argv through the top parser, as main parses any argv that
-    # does not start with a command name
+    # does not start with a command name, then main's step that runs the
+    # command and prints its object
     try:
         args = cli._parser().parse_args(argv)
-        code = args.func(args)
+        code = cli._run(args)
     except SystemExit as exc:
         code = exc.code
     except NilError as err:

@@ -2,21 +2,45 @@
 
 A change that keeps the output of every argv in tests/cli_corpus.py byte for
 byte keeps this digest; any other change to what the CLI prints, to stdout
-or stderr, or to its exit codes moves it.  Integers near the interpreter's
-int/str limit are checked apart from the digest.
+or stderr, or to its exit codes moves it.  Every text output of the corpus
+must also be its command's renderer applied to the parsed JSON output of the
+same argv, so the text holds nothing the JSON does not.  Integers near the
+interpreter's int/str limit are checked apart from the digest.
 """
 
+import json
 import sys
 
 import pytest
 
 import cli_corpus
+from nilbu import cli
 
 
 def test_corpus_output_is_byte_identical_to_golden():
     corpus = cli_corpus.argv_corpus()
     assert len(corpus) == 4218
     assert cli_corpus.digest(corpus) == "96084500621ba7f22fe051d03cb7424d"
+
+
+def test_text_is_rendered_from_the_json():
+    # each text output is its command's renderer applied to the parsed JSON
+    # of the same argv, with the same exit code; an error prints the same
+    # error line in both formats
+    parser = cli._parser()
+    for argv in cli_corpus.argv_corpus():
+        if argv[-2:] != ["--format", "text"]:
+            continue
+        text_out, text_err, text_code = cli_corpus.run(argv)
+        json_out, json_err, json_code = cli_corpus.run(argv[:-1] + ["json"])
+        assert (text_code, text_err) == (json_code, json_err), argv
+        if text_err:
+            assert (text_code, text_out, json_out) == (1, "", ""), argv
+            assert text_err.startswith("error: "), argv
+            continue
+        args = parser.parse_args(argv)
+        rendered = "\n".join(args.text(json.loads(json_out), args)) + "\n"
+        assert rendered == text_out, argv
 
 
 def _limit():

@@ -58,14 +58,19 @@ def test_other_types_raise_type_error(obj):
     ["verify", "--b-max", "1"], ["classify", "T(5)"],
     ["table", "--b-max", "0"]])
 def test_cli_objects_match_json_dumps(argv, monkeypatch, capsys):
-    emitted = []
-    real = cli._emit
+    # record the object that the command returns; a parser built per call
+    # picks up the recording command
+    returned = []
+    name = "cmd_" + argv[0]
+    command = getattr(cli, name)
 
-    def recording(args, lines, obj):
-        emitted.append(obj)
-        real(args, lines, obj)
+    def recording(args):
+        code, obj = command(args)
+        returned.append(obj)
+        return code, obj
 
-    monkeypatch.setattr(cli, "_emit", recording)
+    monkeypatch.setattr(cli, name, recording)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
     assert main(argv + ["--format", "json"]) == 0
-    (obj,) = emitted
+    (obj,) = returned
     assert capsys.readouterr().out == json.dumps(obj, indent=2) + "\n"
