@@ -3,17 +3,15 @@
 double_cover computes the Seifert data of the cover cut out by an epimorphism
 phi of m = phi.manifold in closed form per family, and asserts e(cover) =
 2^(1 - 2 phi(h)) e(base) on the integers (c, lcm), e = c / lcm, of the family
-rows.  verify_cover, the independent oracle, rewrites the fundamental group
-straight into the exponent-sum rows of the index-2 subgroup with _rewrite
-(Reidemeister-Schreier, Lyndon and Schupp, Combinatorial Group Theory,
-II.4, with no kernel presentation built), compares the rows' invariant
-factors with H1 of the claimed cover, read from homology's per-row table
-by h1_invariants (no Smith loop runs), and checks the Euler relation by its
-own cross-multiplication of (c, lcm), which cd_invariants reads off the
-Seifert invariants, not the family rows.
-Only the section relator sees b, so _KERNEL holds every other relator's
-rows diagonalized once, at import, and kernel_rows finishes a kernel from
-them and the section relator's two rows.
+rows.  verify_cover, the independent oracle, compares the invariant factors
+of ker(phi) with H1 of the claimed cover and checks the Euler relation by
+its own cross-multiplication of (c, lcm), which cd_invariants reads off the
+Seifert invariants, not the family rows.  _rewrite turns pi_1's relators
+straight into the kernel's exponent-sum rows (Reidemeister-Schreier, Lyndon
+and Schupp, Combinatorial Group Theory, II.4, with no kernel presentation
+built), and _KERNEL keeps them from import in homology's affine form, so
+that kernel_invariants, like h1_invariants for the claimed cover, is one
+affine_invariants call: no rewriting and no Smith loop at query time.
 
 quotients_of inverts double_cover by a table, which reproduces the known
 involution diagrams.  A family row's class representatives depend only on
@@ -28,8 +26,8 @@ from __future__ import annotations
 
 from . import bu_index
 from .epimorphisms import _MOD2, Z2Char, class_representatives
-from .homology import (_add, _replay, diagonalize, h1_invariants,
-                       row_invariants)
+from .homology import (_add, affine_entry, affine_invariants,
+                       h1_invariants)
 from .presentation import _ROW_PARTS
 from .seifert import ROWS, NilManifold, Record, cd_invariants
 
@@ -128,47 +126,47 @@ def _rewrite(row: dict, word, bits, t: int, coset: int) -> int:
     return coset
 
 
-def _kernel_parts(fixed, section, bits) -> tuple:
-    """ker(phi) of a family row but for b: the fixed relators' rows from both
-    cosets, the section relator's two rows up to h^-b with their end
-    cosets, and t."""
+def _kernel_rows(words, bits) -> list:
+    """The exponent-sum rows of ker(phi) that words rewrite to, each word
+    from coset 0 and then from coset 1."""
     h = len(bits) - 1
     t = h if bits[h] else bits.index(1)
     rows = []
-    for word in fixed:
+    for word in words:
         for start in (0, 1):
             row: dict = {}
             end = _rewrite(row, word, bits, t, start)
             assert end == start, "relator escaped its coset"
-            if row:
-                rows.append(row)
-    sections = []
-    for start in (0, 1):
-        row = {}
-        sections.append((row, _rewrite(row, section, bits, t, start)))
-    return tuple(rows), tuple(sections), t
+            rows.append(row)
+    return rows
 
 
 def _kernel_table() -> dict:
     """The b-free part of every kernel the oracle reduces, reduced once.
 
     The keys are the bits of the epimorphisms of each family row at either
-    parity of b, from epimorphisms._MOD2.  For each key the fixed
-    relators' rows go through diagonalize, and the entry keeps the section
-    relator's two rows up to h^-b with their end cosets, t, the column
-    operations, the unit pivots' columns and the other pivots as (column,
-    |pivot|).
+    parity p of b, from epimorphisms._MOD2; bits with phi(h) = 0 are
+    epimorphisms at both parities and take p = 0.  The relators are
+    rewritten from both cosets with h^-b at b = p, and the fixed ones' rows
+    and the section relator's two, u, go through affine_entry.  The rest of
+    h^-b lands on one Schreier column: _rewrite adds -b to h.r when phi(h)
+    = 0, and (r - b) // 2 = (r - p) // 2 - (b >> 1) to h.1 when phi(h) = 1,
+    t = h.  With v the unit row there, the row at b is u - x v, x = b >>
+    phi(h).  The entry is affine_entry's, with p.
     """
     table = {}
     for (family, betas), (_, fixed, section, _) in _ROW_PARTS.items():
-        for bits in dict.fromkeys(_MOD2[family, betas, 0][0]
-                                  + _MOD2[family, betas, 1][0]):
-            rows, sections, t = _kernel_parts(fixed, section, bits)
-            diag, ops = diagonalize(rows)
-            table[family, betas, bits] = (
-                sections, t, tuple(ops),
-                tuple(g for g, d in diag.items() if d == 1),
-                tuple((g, d) for g, d in diag.items() if d > 1))
+        for p in (0, 1):
+            for bits in _MOD2[family, betas, p][0]:
+                if (family, betas, bits) in table:  # phi(h) = 0, seen at 0
+                    continue
+                h = len(bits) - 1
+                *rows, u0, u1 = _kernel_rows(
+                    fixed + (section + ((h + 1, -p),),), bits)
+                pairs = [(u, {2 * h + (bits[h] or start): 1})
+                         for start, u in enumerate((u0, u1))]
+                table[family, betas, bits] = (
+                    affine_entry(rows, pairs, 2 * h + 1)[0], p)
     return table
 
 
@@ -177,51 +175,36 @@ def _kernel_table() -> dict:
 _KERNEL = _kernel_table()
 
 
-def kernel_rows(m: NilManifold, bits) -> tuple[list[dict], int]:
-    """Rows with the invariants of ker(phi) in pi_1(m), and their column count.
+def kernel_invariants(m: NilManifold, bits) -> tuple[int, tuple[int, ...]]:
+    """(free rank, invariant factors) of ker(phi) in pi_1(m).
 
-    phi is an epimorphism given by its bits.  The rows stand for the
-    exponent sums of the Reidemeister-Schreier rewriting of pi_1 over the
-    transversal {1, t}, t = h if phi(h) = 1, else the first phi = 1
-    generator, with 2n - 1 Schreier generators, x.r in column 2x + r
-    (_rewrite).  Only the section relator sees b, through h^-b, so _KERNEL
-    holds the fixed relators' rows already diagonalized.  Here h^-b is
-    rewritten onto the two section rows, one syllable, O(1) in b; the
-    column operations of the diagonalization are replayed on them; the
-    unit pivots' columns are dropped, since a unit pivot row clears its
-    column from them and adds only an invariant factor 1; and the other
-    pivots come back as one-entry rows.  The rows are fresh dicts, the
-    section rows last.
+    phi is an epimorphism given by its bits.  The kernel's rows are the
+    Reidemeister-Schreier rewriting of pi_1 over the transversal {1, t},
+    t = h if phi(h) = 1, else the first phi = 1 generator, on 2n - 1
+    Schreier generators (_rewrite).  m's entry in _KERNEL is affine in
+    x = b >> phi(h), so nothing is rewritten or replayed here, O(1) in b.
     """
-    sections, t, ops, units, torsion = _KERNEL[m.family, m.betas, bits]
-    rows = [{g: d} for g, d in torsion]
-    h_b = ((len(bits), -m.b),)
-    for start, (prefix, end) in enumerate(sections):
-        row = dict(prefix)
-        end = _rewrite(row, h_b, bits, t, end)
-        assert end == start, "relator escaped its coset"
-        _replay(row, ops)
-        for g in units:
-            row.pop(g, None)
-        rows.append(row)
-    return rows, 2 * len(bits) - 1 - len(units)
+    entry, p = _KERNEL[m.family, m.betas, bits]
+    # with phi(h) = 1 the section relator closes only at b of parity p
+    assert m.b & bits[-1] == p, "relator escaped its coset"
+    return affine_invariants(entry, m.b >> bits[-1])
 
 
 def verify_cover(phi: Z2Char, claimed: NilManifold) -> bool:
     """Oracle check of a claimed double cover, independent of double_cover.
 
-    Rewrites pi_1(phi.manifold) into the exponent-sum rows of ker(phi)
-    (kernel_rows), reduces them to invariant factors and compares those with
+    Compares the invariant factors of ker(phi) in pi_1(phi.manifold)
+    (kernel_invariants, from the rewriting of pi_1's relators) with
     h1_invariants(claimed), H1 of the claimed cover from its row's entry in
-    homology._H1, with no Smith loop; also checks the Euler number relation
-    by its own arithmetic on the Seifert invariants' (c, lcm), not
-    double_cover's.  True iff both hold.
+    homology._H1; both are affine_invariants of a table entry, with no
+    Smith loop.  Also checks the Euler number relation by its own
+    arithmetic on the Seifert invariants' (c, lcm), not double_cover's.
+    True iff both hold.
     """
     m = phi.manifold
     c_m, _, l_m = cd_invariants(m.seifert())
     c, _, l = cd_invariants(claimed.seifert())
-    return (row_invariants(*kernel_rows(m, phi.bits))
-            == h1_invariants(claimed)
+    return (kernel_invariants(m, phi.bits) == h1_invariants(claimed)
             and 2 ** phi.h * c * l_m == 2 ** (1 - phi.h) * c_m * l)
 
 

@@ -5,25 +5,21 @@ unbounded (no overflow to report, ever).  The Smith normal form returns the
 unimodular transforms, which the abelianization uses to express generator
 images in the invariant-factor basis; abelianization and h1 are the callers
 of the Smith loop, and h1 serves what reads generator images (nilbu h1, the
-stated relations) and what runs once per manifold (nilbu table, verify's
-closed-form and mod-2 rank checks).  pi_1 sees b only through the syllable
-h^-b, so h1 builds no presentation: _RELATIONS holds each family row's
-relation matrix at b = 0, built at import from presentation's _ROW_PARTS,
-and relation_matrix subtracts b at the entry of h and the section relator,
-which gives the transposed exponent-sum matrix of fundamental_group(m)
-entry by entry.  Sparse rows of mostly unit entries need no transforms:
-diagonalize reduces them to a diagonal by row and column operations,
-pivoting on the least |entry|, a unit pivot being the case |p| = 1 that
-leaves at once (Havas, Holt and Rees, Recognizing badly presented
-Z-modules, Linear Algebra Appl. 192, 1993), and row_invariants turns the
-diagonal into the chain d_1 | d_2 | ... by pairwise gcd and lcm (Newman,
-Integral Matrices, 1972, ch. II).  diagonalize also returns its column
-operations, and two static tables keep them: coverings' kernel table, and
-_H1 here, each family row's fixed relators diagonalized once with the
-section relator's row replayed, so that it is affine in b.  The covering
-oracle reads H1 of a claimed cover from _H1 (h1_invariants), and the
-index-1 test whether phi kills the torsion of H1 (kills_torsion, O(1) in
-b); neither runs the Smith loop.
+stated relations) and what runs once per manifold (verify's closed-form and
+mod-2 rank checks).  pi_1 sees b only through the syllable h^-b, so h1
+builds no presentation: relation_matrix subtracts b at the entry of h and
+the section relator of _RELATIONS, each family row's exponent sums at b = 0.
+Sparse rows of mostly unit entries need no transforms: diagonalize reduces
+them to a diagonal by row and column operations, pivoting on the least
+|entry| (Havas, Holt and Rees, Recognizing badly presented Z-modules,
+Linear Algebra Appl. 192, 1993), and row_invariants turns the diagonal
+into the chain d_1 | d_2 | ... (Newman, Integral Matrices, 1972, ch. II).
+Both static tables of such rows, _H1 here and coverings' kernel table, take
+one form, an affine row over a fixed diagonal: affine_entry diagonalizes a
+module's b-free rows once and replays the column operations on its rows
+u - x v, and affine_invariants reads the invariants at any x with no Smith
+loop.  _H1 (x = b) gives h1_invariants, H1 of the oracle's claimed cover,
+and the index-1 test kills_torsion, both O(1) in b.
 """
 
 from __future__ import annotations
@@ -205,7 +201,7 @@ def diagonalize(rows) -> tuple[dict[int, int], list[tuple[int, int, int]]]:
     badly presented Z-modules, Linear Algebra Appl. 192, 1993).  Returns
     the diagonal, pivot column -> |pivot|, and the column operations in
     order; the operations act on the columns of any row over the same
-    generators, which is how kernel_rows finishes the rows of the table.
+    generators, which is how affine_entry reduces its section rows.
     """
     rows = [row for row in rows if row]
     diag = {}
@@ -269,13 +265,6 @@ def row_invariants(rows, count: int) -> tuple[int, tuple[int, ...]]:
     return count - len(diag), tuple(x for x in d if x > 1)
 
 
-# (family, betas) -> H1's relation matrix of the row at b = 0, as tuples, a
-# row per generator and a column per relator; static like _ROW_PARTS
-_RELATIONS = {key: tuple(zip(*exponent_matrix(
-    FinitePresentation(names, fixed + (section,)))))
-    for key, (names, fixed, section, _) in _ROW_PARTS.items()}
-
-
 def relation_matrix(m: NilManifold) -> list[tuple[int, ...]]:
     """H1's relation matrix of m, the transposed exponent_matrix of
     fundamental_group(m), from m's row's template in _RELATIONS.
@@ -308,15 +297,6 @@ def _add(row: dict, gen: int, exp: int) -> None:
         row.pop(gen, None)
 
 
-def _replay(row: dict, ops) -> dict:
-    """row after the column operations (k, q, g), col_k -= q * col_g."""
-    for k, q, g in ops:
-        x = row.get(g)
-        if x:
-            _add(row, k, -q * x)
-    return row
-
-
 def _exponents(word) -> dict:
     """The word's exponent sums, 0-based generator -> nonzero sum."""
     row: dict = {}
@@ -325,36 +305,80 @@ def _exponents(word) -> dict:
     return row
 
 
+def _relations(count: int, words) -> tuple:
+    """H1's relation matrix of words over count generators, a row per
+    generator and a column per word, from the words' _exponents rows."""
+    rows = [_exponents(word) for word in words]
+    return tuple(tuple(row.get(j, 0) for row in rows) for j in range(count))
+
+
+# (family, betas) -> H1's relation matrix of the row at b = 0, as tuples, a
+# row per generator and a column per relator; static like _ROW_PARTS
+_RELATIONS = {key: _relations(len(names), fixed + (section,))
+              for key, (names, fixed, section, _) in _ROW_PARTS.items()}
+
+
+def affine_entry(fixed, sections, count: int) -> tuple:
+    """Z^count modulo the fixed rows and a row u - x v per section (u, v),
+    reduced once for every integer x.
+
+    The rows are sparse dicts, the fixed ones consumed and u and v changed
+    in place.  The fixed rows go through diagonalize, and u and v through
+    its column operations C, since (u - x v) C = u C - x v C.  A unit
+    pivot's row clears its column and adds only an invariant factor 1, so
+    the unit pivots' columns leave u, v and the count.  Returns the entry
+    that affine_invariants reads, (that count, the other pivots as (column,
+    |pivot|), the (u, v) pairs), then the diagonal and C.
+    """
+    diag, ops = diagonalize(fixed)
+    units = [g for g, d in diag.items() if d == 1]
+    for pair in sections:
+        for row in pair:
+            for k, q, g in ops:  # col_k -= q * col_g
+                if y := row.get(g):
+                    _add(row, k, -q * y)
+            for g in units:
+                row.pop(g, None)
+    torsion = tuple((g, d) for g, d in diag.items() if d > 1)
+    return (count - len(units), torsion, tuple(sections)), diag, ops
+
+
+def affine_invariants(entry, x: int) -> tuple[int, tuple[int, ...]]:
+    """(free rank, invariant factors) of an affine_entry's module at x.
+
+    row_invariants runs on fresh rows, a one-entry row per pivot of at
+    least 2 and u - x v per section, so the entry is left as it is; the
+    work does not grow with x.
+    """
+    count, torsion, sections = entry
+    rows = [{g: d} for g, d in torsion]
+    for u, v in sections:
+        rows.append({k: y for k in u.keys() | v.keys()
+                     if (y := u.get(k, 0) - x * v.get(k, 0))})
+    return row_invariants(rows, count)
+
+
 def _h1_table() -> dict:
     """The b-free part of every family row's H1, reduced once.
 
     For each row the fixed relators' exponent-sum rows go through
-    diagonalize, so that with C the product of its column operations they
-    become the pivots' one-entry rows.  The section relator's row times C is
-    u - b v, u and v the rows of its prefix and of h replayed here.  The entry
-    is the column count less the unit pivots, the other pivots as (column,
-    |pivot|), C^-1 mod 2 at each pivot column and at each other (free)
-    column as a mask over the generators, and u and v off the unit
-    columns.
+    affine_entry with one section: the section relator's row is u - b v, u
+    the row of its prefix and v the unit row at h.  The entry is
+    affine_entry's, then C^-1 mod 2 at each pivot column and at each other
+    (free) column as a mask over the generators, C the product of the
+    column operations.
     """
     table = {}
     for key, (names, fixed, section, h) in _ROW_PARTS.items():
-        diag, ops = diagonalize([_exponents(word) for word in fixed])
+        entry, diag, ops = affine_entry(
+            [_exponents(word) for word in fixed],
+            [(_exponents(section), {h - 1: 1})], len(names))
         inverse = [1 << j for j in range(len(names))]
         for k, q, g in ops:  # C^-1 replays each operation as y_g += q y_k
             if q & 1:
                 inverse[g] ^= inverse[k]
-        units = [g for g, d in diag.items() if d == 1]
-        u = _replay(_exponents(section), ops)
-        v = _replay({h - 1: 1}, ops)
-        for g in units:
-            u.pop(g, None)
-            v.pop(g, None)
-        table[key] = (len(names) - len(units),
-                      tuple((g, d) for g, d in diag.items() if d > 1),
-                      tuple(inverse[g] for g in diag),
-                      {j: x for j, x in enumerate(inverse) if j not in diag},
-                      u, v)
+        table[key] = (entry, tuple(inverse[g] for g in diag),
+                      {j: x for j, x in enumerate(inverse) if j not in diag})
     return table
 
 
@@ -363,18 +387,9 @@ _H1 = _h1_table()
 
 
 def h1_invariants(m: NilManifold) -> tuple[int, tuple[int, ...]]:
-    """h1(m).decomposition, from m's row's entry in _H1 with no Smith loop.
-
-    The section relator's row is u - b v in the reduced basis, O(1) in b.
-    With the pivots of at least 2 as one-entry rows it goes through
-    row_invariants; the unit pivots' columns are gone, since a unit pivot
-    row clears its column and adds only an invariant factor 1.
-    """
-    count, torsion, _, _, u, v = _H1[m.family, m.betas]
-    b = m.b
-    section = {k: x for k in u.keys() | v.keys()
-               if (x := u.get(k, 0) - b * v.get(k, 0))}
-    return row_invariants([{g: d} for g, d in torsion] + [section], count)
+    """h1(m).decomposition, from m's row's entry in _H1 with no Smith loop:
+    affine_invariants at x = b, O(1) in b."""
+    return affine_invariants(_H1[m.family, m.betas][0], m.b)
 
 
 def kills_torsion(m: NilManifold, bits) -> bool:
@@ -390,7 +405,7 @@ def kills_torsion(m: NilManifold, bits) -> bool:
     primitive and its integer kernel reduces onto its kernel mod 2.  O(1)
     in b.
     """
-    _, _, pivots, free, u, v = _H1[m.family, m.betas]
+    (_, _, ((u, v),)), pivots, free = _H1[m.family, m.betas]
     phi = 0
     for j, bit in enumerate(bits):
         if bit:

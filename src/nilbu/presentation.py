@@ -240,7 +240,7 @@ def check_epimorphism(pres: FinitePresentation, bits) -> None:
 def reidemeister_schreier(pres: FinitePresentation, bits) -> FinitePresentation:
     """Presentation of the index-2 subgroup ker(phi) by Reidemeister-Schreier.
 
-    The reference for the oracle's rows, coverings.kernel_rows.  phi is
+    The reference for coverings.kernel_invariants, the oracle.  phi is
     given by its bits in generator order.  The transversal is {1, t}, t the
     phi = 1 generator of the largest |exponent| in any syllable (the first
     on a tie), see below.

@@ -20,9 +20,9 @@ row, so the two must return identical (S, U, V).  abelian_invariants adds a
 presentation's exponent sums up into sparse rows for row_invariants.
 torsion_subgroup_killed_by, a mod-2 span test on the free coordinates of
 Smith's generator images, is the reference for kills_torsion, and
-kernel_rows is the reference for the oracle's reduced kernel rows: the
-fixed relators' rows as coverings._kernel_parts rewrites them, with
-h^-b rewritten onto the section relator's two, none of them reduced.
+kernel_rows is the unreduced reference for the oracle's kernel_invariants:
+every relator's rows as coverings._kernel_rows rewrites them, h^-b at m's
+b included, none of them reduced or read as affine in b.
 """
 
 from itertools import groupby, product
@@ -200,18 +200,13 @@ def torsion_subgroup_killed_by(bits, group) -> bool:
 def kernel_rows(m, bits) -> tuple:
     """The exponent-sum rows of ker(phi) in pi_1(m), and their column count.
 
-    The rewriting of nilbu's oracle (coverings._kernel_parts and
-    _rewrite), with nothing reduced: the fixed relators' rows from both
-    cosets, then the section relator's two with h^-b added, over 2n - 1
+    The rewriting of nilbu's oracle (coverings._kernel_rows and _rewrite),
+    with nothing reduced and no entry affine in b: every relator of pi_1(m),
+    the section relator with h^-b at m's b, from both cosets, over 2n - 1
     Schreier generators.  The rows are fresh dicts.
     """
-    _, fixed, section, _ = presentation._ROW_PARTS[m.family, m.betas]
-    rows, sections, t = coverings._kernel_parts(fixed, section, bits)
-    rows = list(rows)
-    for start, (row, end) in enumerate(sections):
-        end = coverings._rewrite(row, ((len(bits), -m.b),), bits, t, end)
-        assert end == start, "relator escaped its coset"
-        rows.append(row)
+    _, fixed, section, h = presentation._ROW_PARTS[m.family, m.betas]
+    rows = coverings._kernel_rows(fixed + (section + ((h, -m.b),),), bits)
     return rows, 2 * len(bits) - 1
 
 

@@ -8,9 +8,9 @@ this test makes it fail in tier-1 instead of in perfbench/selftest.py.
 * spans.TRACED names each traced function, and Tracer.install fetches every
   entry with getattr.  Among them epimorphisms.validate_char (ROADMAP item 1
   deletes it), presentation.reidemeister_schreier (the word-level rewriting,
-  kept as the reference of the oracle's kernel_rows; no sweep calls it, so
-  the test calls it through the module) and the layers that item 12's stats
-  layer would count in the tracer's place.
+  kept as the reference of the oracle's kernel_invariants; no sweep calls
+  it, so the test calls it through the module) and the layers that item
+  12's stats layer would count in the tracer's place.
 * Tracer.install wraps a traced name only where nilbu or one of the seven
   modules in spans.LAYERS binds it, and nilbu.paper is not among them.  So
   the catalogs in paper call epimorphisms.validate_char through the module:

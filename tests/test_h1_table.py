@@ -1,11 +1,12 @@
 """The per-row H1 table that spares the Smith loop off the nilbu h1 path.
 
-homology._H1 holds, for each family row, the fixed relators' exponent-sum
-rows diagonalized once and the section relator's row replayed through the
-column operations C, as u - b v.  h1_invariants(m) must equal
-h1(m).decomposition, and kills_torsion(m, bits) must equal the Smith
-reference helpers.torsion_subgroup_killed_by(bits, h1(m)), on every
-manifold and pair of sweep(256) and at b up to 10^12.  A kills_torsion
+homology._H1 holds, for each family row, an affine_entry: the fixed
+relators' exponent-sum rows diagonalized once and the section relator's
+row replayed through the column operations C, as u - b v.
+h1_invariants(m) must equal h1(m).decomposition, and kills_torsion(m,
+bits) must equal the Smith reference
+helpers.torsion_subgroup_killed_by(bits, h1(m)), on every manifold and
+pair of sweep(256) and at b up to 10^12.  A kills_torsion
 that skips the division by gcd(a), and a table whose v skips the replay of
 C, must be caught.  After import, verify_sweep runs the Smith loop once per
 manifold, for verify's own reading of h1(m), and the cover, index and
@@ -69,12 +70,13 @@ def test_kills_torsion_without_the_division_by_gcd_is_caught(monkeypatch):
 
 def test_a_table_whose_v_skips_the_replay_is_caught(monkeypatch):
     table = {}
-    for key, entry in homology._H1.items():
+    for key, (entry, pivots, free) in homology._H1.items():
+        count, torsion, ((u, _),) = entry
         _, fixed, _, h = homology._ROW_PARTS[key]
         diag, _ = homology.diagonalize(
             [homology._exponents(word) for word in fixed])
         unreplayed = {} if diag.get(h - 1) == 1 else {h - 1: 1}
-        table[key] = entry[:-1] + (unreplayed,)
+        table[key] = ((count, torsion, ((u, unreplayed),)), pivots, free)
     monkeypatch.setattr(homology, "_H1", table)
     assert mismatches(sweep(16))
 
