@@ -16,11 +16,9 @@ from .seifert import (FAMILIES, InvariantError, NilError, NilManifold, NotNil,
                       parse_manifold, parse_seifert, reverse_orientation,
                       sweep)
 from .presentation import (FinitePresentation, NotAHomomorphism, NotSurjective,
-                           check_epimorphism, exponent_matrix, format_word,
-                           free_reduce, fundamental_group,
-                           reidemeister_schreier)
-from .homology import (AbelianGroup, abelianization, h1, mod2_rank,
-                       smith_normal_form)
+                           check_epimorphism, format_word, free_reduce,
+                           fundamental_group, reidemeister_schreier)
+from .homology import AbelianGroup, h1, mod2_rank, smith_normal_form
 from .epimorphisms import (ConeSlide, ConeSwap, EpiClass, EpiClassPartition,
                            FiberFlip, InvalidCharacter, KleinSwap,
                            MoveNotApplicable, TorusShear, Z2Char, apply_move,
@@ -42,16 +40,15 @@ __all__ = [
     "InvalidCharacter", "InvariantError", "KleinSwap", "MoveNotApplicable",
     "NilError", "NilManifold", "NotAHomomorphism", "NotNil", "NotSurjective",
     "OrientationError", "ParseError", "SeifertInvariant", "TorusShear",
-    "Z2Char", "abelianization", "apply_move", "available_moves", "b_min",
-    "cd_invariants", "char_for", "check_epimorphism", "classify",
-    "cup_cube_nonzero", "double_cover", "enumerate_epis", "equivalence_classes",
-    "euler_number", "expected_epi_count", "expected_partition_shape",
-    "expected_quotient_diagram", "exponent_matrix", "family_rows",
-    "format_word", "free_reduce", "fundamental_group", "h1", "h1_closed_form",
-    "h1_stated_relations", "index_is_one", "index_one_case", "index_report",
-    "index_three_case", "is_nil", "mod2_rank", "normalize",
-    "orbifold_euler_char", "parse_family", "parse_manifold", "parse_seifert",
-    "quotients_of", "reidemeister_schreier", "reverse_orientation",
-    "smith_normal_form", "sweep", "validate_char", "verify_cover",
-    "verify_manifold", "verify_sweep", "z2_index",
+    "Z2Char", "apply_move", "available_moves", "b_min", "cd_invariants",
+    "char_for", "check_epimorphism", "classify", "cup_cube_nonzero",
+    "double_cover", "enumerate_epis", "equivalence_classes", "euler_number",
+    "expected_epi_count", "expected_partition_shape",
+    "expected_quotient_diagram", "family_rows", "format_word", "free_reduce",
+    "fundamental_group", "h1", "h1_closed_form", "h1_stated_relations",
+    "index_is_one", "index_one_case", "index_report", "index_three_case",
+    "is_nil", "mod2_rank", "normalize", "orbifold_euler_char", "parse_family",
+    "parse_manifold", "parse_seifert", "quotients_of", "reidemeister_schreier",
+    "reverse_orientation", "smith_normal_form", "sweep", "validate_char",
+    "verify_cover", "verify_manifold", "verify_sweep", "z2_index",
 ]

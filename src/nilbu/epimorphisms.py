@@ -8,11 +8,12 @@ automorphism moves; the orbit closure under those moves is a breadth-first
 search over bit tuples among the epimorphisms.  pi_1 sees b only through the
 syllable h^-b, so the epimorphism bits and their orbits depend only on the
 family row and b mod 2: both are found once per such key, at import, in
-_MOD2, and every manifold's characters and classes are built from those
-shared tuples.  A character is checked when it is made (char_for, with_bits
-and enumerate_epis build through it) by a lookup of its bits in _MOD2, and a
-layer given one reads its manifold from it.  All orderings are
-deterministic: characters are compared by their bit tuple.
+_MOD2, from the parities of the row's relators in presentation._ROW_PARTS
+with no presentation built, and every manifold's characters and classes
+are built from those shared tuples.  A character is checked when it is made
+(char_for, with_bits and enumerate_epis build through it) by a lookup of
+its bits in _MOD2, and a layer given one reads its manifold from it.  All
+orderings are deterministic: characters are compared by their bit tuple.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .presentation import (_BOUND, check_bits, check_epimorphism,
-                           fundamental_group)
+from .presentation import (_BOUND, _ROW_PARTS, _parity, check_bits,
+                           check_epimorphism, fundamental_group)
 from .seifert import FAMILIES, ROWS, NilError, NilManifold, Record
 
 
@@ -238,13 +239,21 @@ def _mod2_layer(m: NilManifold) -> tuple[tuple, tuple]:
     """m's epimorphism bits, lexicographic, and their move-orbits as sorted
     tuples of indices into them, ordered by least member.
 
-    The bits come from epimorphism_bits, which tests every nonzero
-    assignment as an integer against the relators' parity masks, on a
-    presentation that no cache keeps.  The orbits come from a breadth-first
-    closure over bit tuples; an image outside the epimorphisms raises
-    InvalidCharacter.
+    Each relator of m's row in _ROW_PARTS gives its exponent-sum parities
+    as a mask, bit k for generator k+1; the section relator's h^-b syllable
+    adds b's parity at h.  Every nonzero assignment x, an integer with the
+    same bits, is kept when it meets each mask in an even number of bits.
+    The orbits come from a breadth-first closure over bit tuples; an image
+    outside the epimorphisms raises InvalidCharacter.
     """
-    epis = tuple(fundamental_group.__wrapped__(m).epimorphism_bits())
+    names, fixed, section, h = _ROW_PARTS[m.family, m.betas]
+    n = len(names)
+    masks = {_parity(word) for word in fixed}
+    masks.add(_parity(section) ^ (m.b & 1) << (h - 1))
+    xs = range(1, 1 << n)
+    for odd in masks:
+        xs = [x for x in xs if not (x & odd).bit_count() & 1]
+    epis = tuple(sorted(tuple(x >> k & 1 for k in range(n)) for x in xs))
     index = {bits: i for i, bits in enumerate(epis)}
     moves = available_moves(m)
     seen: set[tuple[int, ...]] = set()

@@ -2,13 +2,13 @@
 
 Matrices are plain lists of lists of Python ints, so arithmetic is exact and
 unbounded (no overflow to report, ever).  The Smith normal form returns the
-unimodular transforms, which the abelianization uses to express generator
-images in the invariant-factor basis; abelianization and h1 are the callers
-of the Smith loop, and h1 serves what reads generator images (nilbu h1, the
-stated relations) and what runs once per manifold (verify's closed-form and
-mod-2 rank checks).  pi_1 sees b only through the syllable h^-b, so h1
-builds no presentation: relation_matrix subtracts b at the entry of h and
-the section relator of _RELATIONS, each family row's exponent sums at b = 0.
+unimodular transforms, which _abelian_group uses to express generator
+images in the invariant-factor basis; h1 is the caller of the Smith loop,
+and it serves what reads generator images (nilbu h1, the stated relations)
+and what runs once per manifold (verify's closed-form and mod-2 rank
+checks).  pi_1 sees b only through the syllable h^-b, so h1 builds no
+presentation: relation_matrix subtracts b at the entry of h and the
+section relator of _RELATIONS, each family row's exponent sums at b = 0.
 Sparse rows of mostly unit entries need no transforms: diagonalize reduces
 them to a diagonal by row and column operations, pivoting on the least
 |entry| (Havas, Holt and Rees, Recognizing badly presented Z-modules,
@@ -27,8 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .presentation import (_BOUND, _ROW_PARTS, FinitePresentation,
-                           exponent_matrix)
+from .presentation import _BOUND, _ROW_PARTS
 from .seifert import InvariantError, NilManifold, Record
 
 
@@ -160,21 +159,13 @@ class AbelianGroup(Record):
                 "gen_images": {k: list(v) for k, v in self.gen_images.items()}}
 
 
-def abelianization(pres: FinitePresentation) -> AbelianGroup:
-    """Abelianized group of a presentation, with generator images.
-
-    The relation matrix is the transpose of the exponent-sum matrix (one
-    column per relator); if S = U A V is its Smith form then generator j has
-    decomposition coordinates given by column j of U.
-    """
-    R = exponent_matrix(pres)
-    return _abelian_group(pres.generators, [[row[j] for row in R] for j
-                                            in range(len(pres.generators))])
-
-
 def _abelian_group(names, A) -> AbelianGroup:
     """The group that relation matrix A (a row per generator, in the order
-    of names) presents, with generator images, as abelianization says."""
+    of names, a column per relator) presents, with generator images.
+
+    If S = U A V is A's Smith form, generator j has decomposition
+    coordinates given by column j of U.
+    """
     S, U, _ = smith_normal_form(A)
     # the order of each decomposition coordinate, 0 when it is free
     orders = [row[i] if i < len(row) else 0 for i, row in enumerate(S)]
@@ -266,11 +257,11 @@ def row_invariants(rows, count: int) -> tuple[int, tuple[int, ...]]:
 
 
 def relation_matrix(m: NilManifold) -> list[tuple[int, ...]]:
-    """H1's relation matrix of m, the transposed exponent_matrix of
-    fundamental_group(m), from m's row's template in _RELATIONS.
+    """H1's relation matrix of m, a row per generator and a column per
+    relator of pi_1(m), from m's row's template in _RELATIONS.
 
-    Free reduction keeps exponent sums, so h^-b only subtracts b from the
-    entry of h and the section relator, the last row's last entry.
+    h^-b only subtracts b from the entry of h and the section relator, the
+    last row's last entry.
     """
     *rows, last = _RELATIONS[m.family, m.betas]
     return rows + [last[:-1] + (last[-1] - m.b,)]
@@ -278,8 +269,8 @@ def relation_matrix(m: NilManifold) -> list[tuple[int, ...]]:
 
 @lru_cache(maxsize=_BOUND)
 def h1(m: NilManifold) -> AbelianGroup:
-    """First homology of the manifold: abelianization(fundamental_group(m)),
-    from relation_matrix(m), with no presentation built."""
+    """First homology of the manifold, the abelianized pi_1(m) with
+    generator images, from relation_matrix(m), with no presentation built."""
     return _abelian_group(_ROW_PARTS[m.family, m.betas][0], relation_matrix(m))
 
 

@@ -11,16 +11,18 @@ Reidemeister-Schreier shape.
 FinitePresentation.relators spells the relators out letter by letter (+k,
 -k) for tests that pin that form; nothing in the package reads it.  A mod-2
 assignment is a tuple of bits in generator order, each the int 0 or 1 and
-nothing else; odd_relator tests it against the parities of each relator's
-exponent sums, found as the presentation is validated, and epimorphism_bits
-runs through every nonzero assignment as an integer against the same parities.
+nothing else; odd_relator tests it against the _parity of each relator's
+exponent sums.
 
 pi_1 sees b only through h^-b, so _ROW_PARTS holds each family row's
 relators with the section relator up to h^-b, shared by every presentation
-of the row.
-reidemeister_schreier, which builds the whole kernel presentation, is kept
-as the reference that the tests hold the oracle's rows to; nothing in the
-package calls it, and the benchmark's tracer names it.
+of the row; the runtime reads its tables (epimorphisms._MOD2,
+homology._RELATIONS and _H1, coverings._KERNEL) from _ROW_PARTS and builds
+no presentation, but through check_epimorphism(fundamental_group(m), bits)
+to name the relator that a rejected character makes odd.  The word layer
+remains as the reference that the tests hold those tables to, and the
+benchmark's tracer names fundamental_group, check_epimorphism and
+reidemeister_schreier.
 """
 
 from __future__ import annotations
@@ -71,14 +73,9 @@ def _parity(word: Word) -> int:
 
 
 class FinitePresentation(Record):
-    """Generators by name, relators as syllable words, freely reduced on entry.
+    """Generators by name, relators as syllable words, freely reduced on entry."""
 
-    _odd_masks holds each relator's exponent-sum parities, bit k for generator
-    k+1 (_parity; reduction keeps sums).
-    """
-
-    _fields = ("generators", "words")
-    __slots__ = _fields + ("_odd_masks",)
+    __slots__ = _fields = ("generators", "words")
 
     def __init__(self, generators: tuple[str, ...], words: tuple[Word, ...]):
         names = tuple(generators)
@@ -87,7 +84,6 @@ class FinitePresentation(Record):
         object.__setattr__(self, "generators", names)
         g = len(names)
         reduced = []
-        masks = []
         for word in words:
             word = tuple(word)
             for gen, exp in word:
@@ -96,9 +92,7 @@ class FinitePresentation(Record):
                     raise InvariantError("syllable %r references no generator"
                                          % ((gen, exp),))
             reduced.append(free_reduce(word))
-            masks.append(_parity(word))
         object.__setattr__(self, "words", tuple(reduced))
-        object.__setattr__(self, "_odd_masks", tuple(masks))
 
     @property
     def relators(self) -> tuple[tuple[int, ...], ...]:
@@ -106,29 +100,14 @@ class FinitePresentation(Record):
         return tuple(map(letters, self.words))
 
     def odd_relator(self, bits) -> Word | None:
-        """First relator with odd image under bits (one per generator), or None."""
-        mask = sum(bit << i for i, bit in enumerate(bits))
-        return next((word for word, odd in zip(self.words, self._odd_masks)
-                     if (mask & odd).bit_count() % 2), None)
+        """First relator with odd image under bits (one per generator), or None.
 
-    def epimorphism_bits(self) -> list[tuple[int, ...]]:
-        """Bits of every epimorphism onto Z2, in lexicographic order.
-
-        Each x in 1 .. 2^n - 1, bit k for generator k+1, is kept when it
-        meets every relator's odd mask in an even number of bits.
+        A relator's image is the parity of its exponent sums (_parity) at
+        the bits; free reduction keeps those sums.
         """
-        n = len(self.generators)
-        xs = range(1, 1 << n)
-        for odd in set(self._odd_masks):
-            xs = [x for x in xs if not (x & odd).bit_count() & 1]
-        return sorted(tuple(x >> k & 1 for k in range(n)) for x in xs)
-
-    def format(self) -> str:
-        """Debug rendering '<g1,g2 | w1, w2>'; for logging and test goldens only."""
-        body = ", ".join(format_word(self, w) for w in self.words)
-        return "<%s | %s>" % (",".join(self.generators), body)
-
-    __str__ = format
+        mask = sum(bit << i for i, bit in enumerate(bits))
+        return next((word for word in self.words
+                     if (mask & _parity(word)).bit_count() % 2), None)
 
 
 def format_word(pres: FinitePresentation, word) -> str:
@@ -199,17 +178,6 @@ def fundamental_group(m: NilManifold) -> FinitePresentation:
     """
     names, fixed, section, h = _ROW_PARTS[m.family, m.betas]
     return FinitePresentation(names, fixed + (section + ((h, -m.b),),))
-
-
-def exponent_matrix(pres: FinitePresentation) -> list[list[int]]:
-    """Abelianized relator matrix: one row per relator, one column per generator."""
-    rows = []
-    for word in pres.words:
-        row = [0] * len(pres.generators)
-        for gen, exp in word:
-            row[gen - 1] += exp
-        rows.append(row)
-    return rows
 
 
 def check_bits(bits, n: int) -> None:

@@ -46,6 +46,7 @@ import operator
 import re
 import sys
 from collections import namedtuple
+from itertools import product
 
 
 class NilError(Exception):
@@ -245,15 +246,20 @@ _SORTED_BETAS = {"244", "333"}
 
 
 def family_rows() -> list[tuple[str, tuple[int, ...]]]:
-    """All (family, betas) rows: one per allowed cone-parameter combination."""
-    rows = [("T", ()), ("K", ()), ("22", ()), ("2222", ())]
-    for b2 in (1, 2):
-        for b3 in (1, 5):
-            rows.append(("236", (b2, b3)))
-    rows += [("244", (1, 1)), ("244", (1, 3)), ("244", (3, 3))]
-    rows += [("333", (x, y, z))
-             for x in (1, 2) for y in (1, 2) for z in (1, 2)
-             if x <= y <= z]
+    """All (family, betas) rows: one per allowed cone-parameter combination.
+
+    Each free beta is a unit mod its cone order, as NilManifold checks;
+    the families of _SORTED_BETAS keep only nondecreasing betas.  Families
+    come in FAMILIES order and betas lexicographic, the order of ROWS and
+    so of sweep.
+    """
+    rows = []
+    for family, (_, _, _, free) in FAMILIES.items():
+        units = [[beta for beta in range(1, a) if math.gcd(a, beta) == 1]
+                 for a in free]
+        for betas in product(*units):
+            if family not in _SORTED_BETAS or list(betas) == sorted(betas):
+                rows.append((family, betas))
     return rows
 
 

@@ -1,8 +1,14 @@
 """Helpers the tests use to check the library: matrix algebra, words, orbits.
 
-free_reduce, exponent_matrix and reidemeister_schreier are the letter-level
-reference for the syllable word code of nilbu.presentation: words are tuples
-of nonzero ints, +k the k-th generator and -k its inverse, and a presentation
+abelianization, exponent_matrix and format_presentation read a
+FinitePresentation's syllable words; no runtime path of nilbu calls them.
+exponent_matrix sums each word's exponents through homology._exponents, so
+it is O(1) in b, and abelianization reduces the relation matrix of
+homology._relations with homology._abelian_group, the step from Smith form
+to AbelianGroup that h1 takes too.  format_presentation renders '<g1,g2 | w1, w2>' for goldens.
+free_reduce, letter_exponent_matrix and reidemeister_schreier are the
+letter-level reference for the syllable word code: words are tuples of
+nonzero ints, +k the k-th generator and -k its inverse, and a presentation
 is read through its letter accessor FinitePresentation.relators.  The
 reference also rewrites over any phi = 1 transversal, which nilbu does not;
 kernel_presentation turns such a rewriting back into syllable words.
@@ -28,12 +34,12 @@ b included, none of them reduced or read as affine in b.
 from itertools import groupby, product
 
 import nilbu
-from nilbu import (CoveringDescriptor, EpiClass, EpiClassPartition,
-                   FinitePresentation, InvariantError, MoveNotApplicable,
-                   NilManifold, apply_move, available_moves,
-                   check_epimorphism, double_cover, enumerate_epis,
-                   fundamental_group, z2_index)
-from nilbu import coverings, presentation
+from nilbu import (AbelianGroup, CoveringDescriptor, EpiClass,
+                   EpiClassPartition, FinitePresentation, InvariantError,
+                   MoveNotApplicable, NilManifold, apply_move,
+                   available_moves, check_epimorphism, double_cover,
+                   enumerate_epis, format_word, fundamental_group, z2_index)
+from nilbu import coverings, homology, presentation
 from nilbu.homology import identity, row_invariants
 from nilbu.presentation import check_bits
 from nilbu.seifert import FAMILIES, ROWS
@@ -229,7 +235,32 @@ def free_reduce(word) -> tuple[int, ...]:
 
 
 def exponent_matrix(pres) -> list[list[int]]:
-    """Abelianized relator matrix: one row per relator, one column per generator."""
+    """Abelianized relator matrix: one row per relator, one column per
+    generator, from each word's syllables."""
+    rows = [homology._exponents(word) for word in pres.words]
+    return [[row.get(j, 0) for j in range(len(pres.generators))]
+            for row in rows]
+
+
+def abelianization(pres) -> AbelianGroup:
+    """Abelianized group of a presentation, with generator images.
+
+    homology._relations gives the relation matrix, a row per generator and
+    a column per relator, as homology._abelian_group takes it.
+    """
+    count = len(pres.generators)
+    return homology._abelian_group(pres.generators,
+                                   homology._relations(count, pres.words))
+
+
+def format_presentation(pres) -> str:
+    """'<g1,g2 | w1, w2>', each relator rendered by format_word."""
+    body = ", ".join(format_word(pres, word) for word in pres.words)
+    return "<%s | %s>" % (",".join(pres.generators), body)
+
+
+def letter_exponent_matrix(pres) -> list[list[int]]:
+    """exponent_matrix letter by letter, read from pres.relators."""
     rows = []
     for word in pres.relators:
         row = [0] * len(pres.generators)

@@ -28,6 +28,19 @@ this test makes it fail in tier-1 instead of in perfbench/selftest.py.
   fresh process has them.  Since h1 and the character check read those
   tables, a sweep builds no presentation, and fundamental_group's counts
   come from the test's own calls.
+* What stays in the package only because of these pins.  The runtime
+  builds no presentation: its tables are read from _ROW_PARTS at import,
+  and epimorphisms.check_character reaches the word-level layer only to
+  name the odd relator of a rejected character, through
+  check_epimorphism(fundamental_group(m), bits).  So these names stay in
+  src only because perfbench names them or reads through them:
+  presentation.FinitePresentation, its letter accessor relators (and
+  letters), free_reduce and format_word; fundamental_group and its lru
+  cache; check_epimorphism; reidemeister_schreier; and
+  epimorphisms.validate_char.  Once the benchmark stops naming them
+  (ROADMAP item 1), items 4 and 11 can move them to tests/helpers.py,
+  where abelianization, exponent_matrix and the presentation text
+  already are.
 * workloads.check_claim calls nilbu.index_one_case(m, phi) and
   nilbu.index_three_case(m, phi) with the pair (item 1 drops the m), and
   the other five transcriptions, all by the names that nilbu re-exports

@@ -1,10 +1,12 @@
 """Values a record derives from its fields, set once by its __init__.
 
 NilManifold.row is the manifold's ROWS entry and NilManifold.c is
-e * lcm(a_i); FamilyRow.d counts the even cone orders; the _odd_masks of a
-FinitePresentation are its relators' exponent-sum parities.  Each is checked
-against the route it replaced: cd_invariants on the Seifert invariant, and
-the parities of exponent_matrix.  sweep's depth is checked here too.
+e * lcm(a_i); FamilyRow.d counts the even cone orders.  Each is checked
+against the route it replaced, cd_invariants on the Seifert invariant.
+FinitePresentation.odd_relator reads its relators' exponent-sum parities
+when it is called; the parity masks it reads are checked against those of
+exponent_matrix, and its answer against the first relator that they make
+odd.  sweep's depth is checked here too.
 """
 
 import copy
@@ -14,9 +16,10 @@ from itertools import product
 import pytest
 
 from nilbu import (FinitePresentation, InvariantError, NilManifold,
-                   cd_invariants, exponent_matrix, fundamental_group,
-                   reidemeister_schreier, sweep, verify_sweep)
+                   cd_invariants, fundamental_group, reidemeister_schreier,
+                   sweep, verify_sweep)
 from nilbu.seifert import FAMILIES, ROWS
+from helpers import epi_bits, exponent_matrix
 from test_records import CASES
 
 pytest.importorskip("hypothesis")
@@ -54,10 +57,24 @@ def test_every_valid_beta_tuple_names_a_row():
             assert (m.family, m.betas) in ROWS
 
 
-def _old_masks(pres):
-    # the parities as they were read before: from the exponent-sum matrix
+def _sum_masks(pres):
+    # each relator's parities from the exponent-sum matrix, bit k for
+    # generator k+1
     return tuple(sum(1 << k for k, e in enumerate(row) if e % 2)
                  for row in exponent_matrix(pres))
+
+
+def _odd_masks(pres):
+    # each relator's parities as odd_relator reads them: bit k is set when
+    # the relator alone has odd image under the bits of generator k+1 alone
+    g = len(pres.generators)
+    units = [tuple(int(j == k) for j in range(g)) for k in range(g)]
+    masks = []
+    for word in pres.words:
+        alone = FinitePresentation(pres.generators, (word,))
+        masks.append(sum(1 << k for k, bits in enumerate(units)
+                         if alone.odd_relator(bits) is not None))
+    return tuple(masks)
 
 
 def _words(g):
@@ -78,16 +95,24 @@ def _presentations(draw):
 @settings(max_examples=300, deadline=None)
 @given(_presentations())
 def test_odd_masks_match_exponent_sums(pres):
-    assert pres._odd_masks == _old_masks(pres)
+    masks = _sum_masks(pres)
+    assert _odd_masks(pres) == masks
+    # every assignment x, bit k for generator k+1, finds the first relator
+    # whose mask x meets in an odd number of bits
+    g = len(pres.generators)
+    for x in range(1 << g):
+        first = next((word for word, odd in zip(pres.words, masks)
+                      if (x & odd).bit_count() & 1), None)
+        assert pres.odd_relator(tuple(x >> k & 1 for k in range(g))) == first
 
 
 def test_odd_masks_match_exponent_sums_on_sweep():
     for m in sweep(8):
         pres = fundamental_group(m)
-        assert pres._odd_masks == _old_masks(pres), m
-        for bits in pres.epimorphism_bits():
+        assert _odd_masks(pres) == _sum_masks(pres), m
+        for bits in epi_bits(m):
             sub = reidemeister_schreier(pres, bits)
-            assert sub._odd_masks == _old_masks(sub), (m, bits)
+            assert _odd_masks(sub) == _sum_masks(sub), (m, bits)
 
 
 def test_no_record_has_a_dict():

@@ -2,20 +2,21 @@
 
 helpers.abelian_invariants reduces a presentation's exponent-sum rows with
 the oracle's row_invariants, a sparse diagonalization with no Smith loop;
-on kernel presentations it must agree with abelianization, the Smith form
-with transforms.  enumerate_epis tests every assignment as an
-integer against the relators' parity masks; it must find the epimorphisms
-that helpers.epi_bits finds bit tuple by bit tuple, in the same order.
+on kernel presentations it must agree with helpers.abelianization, the
+Smith form with transforms.  enumerate_epis reads the bits that _MOD2 found
+by testing every assignment as an integer against the parity masks of the
+row's relators; they must be the epimorphisms that helpers.epi_bits finds
+bit tuple by bit tuple through odd_relator, in the same order.
 """
 
 import pytest
 
 import helpers
-from nilbu import (NilManifold, abelianization, enumerate_epis,
-                   fundamental_group, reidemeister_schreier, sweep)
+from nilbu import (NilManifold, enumerate_epis, fundamental_group,
+                   reidemeister_schreier, sweep)
 from nilbu.seifert import ROWS
 
-from helpers import abelian_invariants
+from helpers import abelian_invariants, abelianization
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402

@@ -4,13 +4,13 @@ import random
 import pytest
 
 from nilbu import (AbelianGroup, FinitePresentation, InvariantError,
-                   NilManifold, NotAHomomorphism, abelianization,
-                   enumerate_epis,
+                   NilManifold, NotAHomomorphism, enumerate_epis,
                    fundamental_group, h1, h1_closed_form, h1_stated_relations,
                    mod2_rank, smith_normal_form)
 from nilbu.homology import identity, kills_torsion
 
-from helpers import determinant, matmul, torsion_subgroup_killed_by
+from helpers import (abelianization, determinant, matmul,
+                     torsion_subgroup_killed_by)
 
 
 def _random_matrix(rng):

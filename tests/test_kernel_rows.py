@@ -21,12 +21,14 @@ import copy
 import pytest
 
 import helpers
-from nilbu import (NilManifold, abelianization, coverings, double_cover,
-                   enumerate_epis, fundamental_group, h1, homology,
-                   reidemeister_schreier, sweep, verify_cover)
+from nilbu import (NilManifold, coverings, double_cover, enumerate_epis,
+                   fundamental_group, h1, homology, reidemeister_schreier,
+                   sweep, verify_cover)
 from nilbu.coverings import kernel_invariants
 from nilbu.homology import row_invariants
 from nilbu.seifert import ROWS
+
+from helpers import abelianization
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402

@@ -3,13 +3,13 @@ import tracemalloc
 import pytest
 
 from nilbu import (FinitePresentation, InvariantError, NilManifold,
-                   NotAHomomorphism, NotSurjective, Z2Char, abelianization,
-                   check_epimorphism, double_cover, format_word, free_reduce,
-                   fundamental_group, h1, reidemeister_schreier)
+                   NotAHomomorphism, NotSurjective, Z2Char, check_epimorphism,
+                   double_cover, format_word, free_reduce, fundamental_group,
+                   h1, reidemeister_schreier)
 from nilbu.seifert import ROWS
 
-from helpers import (abelian_invariants, inverse_word, kernel_presentation,
-                     standard_presentation)
+from helpers import (abelian_invariants, abelianization, format_presentation,
+                     inverse_word, kernel_presentation, standard_presentation)
 
 
 def test_free_reduce():
@@ -56,35 +56,38 @@ def test_format_word():
 def test_fundamental_group_torus_bundle():
     p = fundamental_group(NilManifold("T", 3))
     assert p.generators == ("v1", "v2", "h")
-    assert p.format() == ("<v1,v2,h | v1 h v1^-1 h^-1, v2 h v2^-1 h^-1, "
-                          "v1 v2 v1^-1 v2^-1 h^-3>")
+    assert format_presentation(p) == (
+        "<v1,v2,h | v1 h v1^-1 h^-1, v2 h v2^-1 h^-1, v1 v2 v1^-1 v2^-1 h^-3>")
 
 
 def test_fundamental_group_klein_bundle():
     p = fundamental_group(NilManifold("K", 2))
-    assert p.format() == ("<v1,v2,h | v1 h v1^-1 h, v2 h v2^-1 h, "
-                          "v1^2 v2^2 h^-2>")
+    assert format_presentation(p) == (
+        "<v1,v2,h | v1 h v1^-1 h, v2 h v2^-1 h, v1^2 v2^2 h^-2>")
 
 
 def test_fundamental_group_with_cone_points():
+    def text(*args):
+        return format_presentation(fundamental_group(NilManifold(*args)))
+
     p = fundamental_group(NilManifold("22", 0))
     assert p.generators == ("s1", "s2", "v1", "h")
-    assert p.format() == ("<s1,s2,v1,h | s1 h s1^-1 h^-1, s2 h s2^-1 h^-1, "
-                          "s1^2 h, s2^2 h, v1 h v1^-1 h, s1 s2 v1^2>")
-    q = fundamental_group(NilManifold("236", 0, (1, 5)))
-    assert q.format() == ("<s1,s2,s3,h | s1 h s1^-1 h^-1, s2 h s2^-1 h^-1, "
-                          "s3 h s3^-1 h^-1, s1^2 h, s2^3 h, s3^6 h^5, "
-                          "s1 s2 s3>")
+    assert format_presentation(p) == (
+        "<s1,s2,v1,h | s1 h s1^-1 h^-1, s2 h s2^-1 h^-1, "
+        "s1^2 h, s2^2 h, v1 h v1^-1 h, s1 s2 v1^2>")
+    assert text("236", 0, (1, 5)) == (
+        "<s1,s2,s3,h | s1 h s1^-1 h^-1, s2 h s2^-1 h^-1, "
+        "s3 h s3^-1 h^-1, s1^2 h, s2^3 h, s3^6 h^5, s1 s2 s3>")
     # eps = +1 and g' = 0 below too: commutators, cones s_i^a_i h^b_i, and
     # s1...sn h^-b, with the pairs of the family row and b of the manifold
-    assert fundamental_group(NilManifold("2222", 3)).format() == (
+    assert text("2222", 3) == (
         "<s1,s2,s3,s4,h | s1 h s1^-1 h^-1, s2 h s2^-1 h^-1, "
         "s3 h s3^-1 h^-1, s4 h s4^-1 h^-1, s1^2 h, s2^2 h, s3^2 h, s4^2 h, "
         "s1 s2 s3 s4 h^-3>")
-    assert fundamental_group(NilManifold("244", -1, (3, 1))).format() == (
+    assert text("244", -1, (3, 1)) == (
         "<s1,s2,s3,h | s1 h s1^-1 h^-1, s2 h s2^-1 h^-1, s3 h s3^-1 h^-1, "
         "s1^2 h, s2^4 h, s3^4 h^3, s1 s2 s3 h>")
-    assert fundamental_group(NilManifold("333", 2, (2, 1, 1))).format() == (
+    assert text("333", 2, (2, 1, 1)) == (
         "<s1,s2,s3,h | s1 h s1^-1 h^-1, s2 h s2^-1 h^-1, s3 h s3^-1 h^-1, "
         "s1^3 h, s2^3 h, s3^3 h^2, s1 s2 s3 h^-2>")
 
@@ -109,9 +112,9 @@ def test_fundamental_group_matches_reference_and_shares_row_relators():
 
 
 def test_presentation_bytes_do_not_grow_with_b():
-    # a presentation adds its h^-b, its words tuple and its parity masks to
-    # the row's shared relators: under 1,000 B, where a full copy of the
-    # relators per manifold takes about 2.8 KB on the worst row
+    # a presentation adds its h^-b and its words tuple to the row's shared
+    # relators: under 1,000 B, where a full copy of the relators per
+    # manifold takes about 2.8 KB on the worst row
     build = fundamental_group.__wrapped__
     kept = []
     worst = 0

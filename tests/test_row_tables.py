@@ -5,8 +5,9 @@ relator, so homology._RELATIONS, built at import from
 presentation._ROW_PARTS with one entry per family row, gives what the
 presentation gave: it holds H1's relation matrix at b = 0, and
 relation_matrix(m) subtracts b at (h, section relator).  It must equal the
-transposed exponent_matrix(fundamental_group(m)) entry by entry, so h1(m)
-equals abelianization(fundamental_group(m)), generator images too.
+transposed helpers.exponent_matrix(fundamental_group(m)) entry by entry, so
+h1(m) equals helpers.abelianization(fundamental_group(m)), generator images
+too.
 
 The characters need no table of their own: epimorphisms.check_character(m,
 bits) accepts the bits exactly when they are an epimorphism of m's row and
@@ -19,22 +20,28 @@ A bit tuple is a key of the oracle's table, coverings._KERNEL, exactly when
 check_epimorphism accepts it on m's presentation at either parity of b.
 
 Neither h1 nor the character check builds a presentation, so a sweep builds
-none.
+none, and neither does the import that builds the tables: a fresh
+interpreter constructs no FinitePresentation and calls no
+fundamental_group through import nilbu.cli and the whole CLI corpus.
 """
 
 import inspect
+import os
+import subprocess
+import sys
 from itertools import product
 
 import pytest
 
 from nilbu import (FinitePresentation, NilManifold, NotAHomomorphism,
-                   Z2Char, abelianization, check_epimorphism, coverings,
-                   enumerate_epis, epimorphisms, equivalence_classes,
-                   exponent_matrix, fundamental_group, h1, homology,
-                   verify_sweep)
+                   Z2Char, check_epimorphism, coverings, enumerate_epis,
+                   epimorphisms, equivalence_classes, fundamental_group, h1,
+                   homology, verify_sweep)
 from nilbu.epimorphisms import check_character
 from nilbu.homology import relation_matrix
 from nilbu.seifert import NilError, ROWS
+
+from helpers import abelianization, exponent_matrix
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -172,3 +179,43 @@ def test_a_sweep_builds_no_presentation(monkeypatch):
     assert built == []
     fundamental_group(NilManifold("T", 2))  # the counter sees a build
     assert len(built) == 1
+
+
+# counts, in a fresh interpreter, the FinitePresentation constructions and
+# the fundamental_group calls (cache misses; a hit follows a miss) through
+# import nilbu.cli, and then through a digest of the CLI corpus
+_COUNT_BUILDS = """
+import os, sys
+counts = [0, 0]
+PRESENTATION = os.path.join("nilbu", "presentation.py")
+def profile(frame, event, arg):
+    code = frame.f_code
+    if event != "call" or not code.co_filename.endswith(PRESENTATION):
+        return
+    if code.co_name == "fundamental_group":
+        counts[1] += 1
+    elif (code.co_name == "__init__" and type(frame.f_locals["self"]).__name__
+          == "FinitePresentation"):
+        counts[0] += 1
+sys.setprofile(profile)
+import nilbu.cli
+sys.setprofile(None)
+print(*counts)
+import cli_corpus
+corpus = cli_corpus.argv_corpus()
+counts[:] = [0, 0]
+sys.setprofile(profile)
+digest = cli_corpus.digest(corpus)
+sys.setprofile(None)
+print(*counts, digest)
+"""
+
+
+def test_the_runtime_builds_no_presentation():
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(epimorphisms.__file__))
+    out = subprocess.run([sys.executable, "-c", _COUNT_BUILDS], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ,
+                                  PYTHONPATH=os.pathsep.join((src, tests))))
+    assert out.stdout == "0 0\n0 0 96084500621ba7f22fe051d03cb7424d\n"

@@ -208,6 +208,19 @@ def test_family_rows_and_sweep():
         assert classify(m.seifert()) == m
 
 
+def test_family_rows_are_pinned_in_order():
+    # family_rows derives the rows from FAMILIES; ROWS and so the sweep
+    # (and the verify reports' md5s) follow this order
+    rows = [("T", ()), ("K", ()), ("22", ()), ("2222", ()),
+            ("236", (1, 1)), ("236", (1, 5)), ("236", (2, 1)),
+            ("236", (2, 5)), ("244", (1, 1)), ("244", (1, 3)),
+            ("244", (3, 3)), ("333", (1, 1, 1)), ("333", (1, 1, 2)),
+            ("333", (1, 2, 2)), ("333", (2, 2, 2))]
+    assert family_rows() == rows
+    assert list(ROWS) == rows
+    assert [(m.family, m.betas) for m in sweep(0)] == rows
+
+
 def test_family_row_is_a_named_tuple():
     row = ROWS[("236", (1, 5))]
     assert type(row) is FamilyRow and isinstance(row, tuple)

@@ -7,7 +7,7 @@ The tuned loop must return the very (S, U, V) of the reference loop in
 tests/helpers.py on those matrices, on every H1 relation matrix of
 sweep(16) and on each family row's at b = 10^12.  The covering oracle's
 invariants (row_invariants, a sparse diagonalization that runs no Smith
-loop) must match sympy's Smith form and the full abelianization on
+loop) must match sympy's Smith form and helpers.abelianization on
 arbitrary sparse rows: with no rows, on generators that no row mentions,
 on rank-deficient rows, with entries near 10^12 and with negative
 pivots; and, through helpers.abelian_invariants, on presentations with
@@ -19,13 +19,13 @@ N x 0 matrix is N empty rows.
 import pytest
 
 import helpers
-from nilbu import (FinitePresentation, NilManifold, abelianization,
-                   fundamental_group, smith_normal_form, sweep)
+from nilbu import (FinitePresentation, NilManifold, fundamental_group,
+                   smith_normal_form, sweep)
 from nilbu.homology import row_invariants
-from nilbu.presentation import exponent_matrix
 from nilbu.seifert import ROWS
 
-from helpers import abelian_invariants, determinant, matmul
+from helpers import (abelian_invariants, abelianization, determinant,
+                     exponent_matrix, matmul)
 
 pytest.importorskip("hypothesis")
 normalforms = pytest.importorskip("sympy.matrices.normalforms")

@@ -2,8 +2,9 @@
 
 The reference in helpers.py is the letter-by-letter free reduction, exponent
 matrix and Reidemeister-Schreier rewriting.  On random words and
-presentations of one to four generators, the syllable code must give the
-same answers once its words are spelled out letter by letter.
+presentations of one to four generators, the syllable code, and the
+syllable exponent_matrix of helpers.py, must give the same answers once
+its words are spelled out letter by letter.
 """
 
 from itertools import product
@@ -11,8 +12,7 @@ from itertools import product
 import pytest
 
 import helpers
-from nilbu import (FinitePresentation, exponent_matrix, free_reduce,
-                   reidemeister_schreier)
+from nilbu import FinitePresentation, free_reduce, reidemeister_schreier
 from nilbu.presentation import letters
 
 pytest.importorskip("hypothesis")
@@ -48,7 +48,7 @@ def test_free_reduce_matches_letters(word):
 @given(presentations())
 def test_layers_match_letters(pres):
     assert pres.relators == tuple(map(letters, pres.words))
-    assert exponent_matrix(pres) == helpers.exponent_matrix(pres)
+    assert helpers.exponent_matrix(pres) == helpers.letter_exponent_matrix(pres)
     for bits in product((0, 1), repeat=len(pres.generators)):
         if not any(bits) or pres.odd_relator(bits) is not None:
             continue
